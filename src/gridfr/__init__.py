@@ -16,12 +16,11 @@ from .numerics import (PinvInfo, band_kept_count, band_kept_fraction,
                        density_weights, pseudo_inverse)
 from .raster import (Raster, asterisk, jittered_grid, load_raster,
                      rescale_to_box, sas_wedge, save_raster)
-from .recon import (ImageGrid, ReconPlan, admissibility_slope, build_cg_plan,
-                    build_frame_plan, build_ftcg_plan, build_omega, build_plan,
-                    build_psi, coefficients, default_grid, default_modes,
-                    load_image_csv, reconstruct, reference_image,
-                    save_image_csv, save_pgm, scene_image, synthesize,
-                    windowed_coefficients)
+from .recon import (ImageGrid, ReconPlan, admissibility_slope, build_omega,
+                    build_plan, build_psi, coefficients, default_grid,
+                    default_modes, load_image_csv, reconstruct,
+                    reference_image, save_image_csv, save_pgm, scene_image,
+                    synthesize, windowed_coefficients)
 from .sampling import (SampleSet, Scene, add_noise, analytic_coeffs,
                        boxcar_scene, check_conjugate_symmetry,
                        grid_image_scene, load_samples, paper_test_scene,

@@ -120,19 +120,24 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _override(config: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply the --band/--snr/--method flags of `run` to a config."""
+    if args.band is not None:
+        config.band = args.band
+    if args.snr is not None:
+        config.snr_db = args.snr
+    if args.method:
+        config.methods = tuple(args.method)
+    return config
+
+
 def _cmd_run(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config = ExperimentConfig.from_json(fh.read())
         if args.seed is not None:
             config.seed = args.seed
-        if args.band is not None:
-            config.band = args.band
-        if args.snr is not None:
-            config.snr_db = args.snr
-        if args.method:
-            config.methods = tuple(args.method)
-        reports = run_experiment(config, args.out)
+        reports = run_experiment(_override(config, args), args.out)
         _print_reports(reports)
         return 0
     if not args.preset:
@@ -140,20 +145,11 @@ def _cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None \
         else list(PRESET_SEEDS[args.preset])
     if args.band is not None or args.snr is not None or args.method:
-        configs = []
         for s in seeds:
-            c = preset_config(args.preset, s)
-            if args.band is not None:
-                c.band = args.band
-            if args.snr is not None:
-                c.snr_db = args.snr
-            if args.method:
-                c.methods = tuple(args.method)
-            configs.append(c)
-        for i, c in enumerate(configs):
-            sub = None if args.out is None else os.path.join(args.out, f"seed{c.seed}")
+            c = _override(preset_config(args.preset, s), args)
+            sub = None if args.out is None else os.path.join(args.out, f"seed{s}")
             reports = run_experiment(c, sub)
-            print(f"seed {c.seed}:")
+            print(f"seed {s}:")
             _print_reports(reports)
         return 0
     result = run_preset(args.preset, seeds, args.out)

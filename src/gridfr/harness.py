@@ -17,7 +17,7 @@ noisy-grid   30x30 jittered grid (indices -15..14), 900-point flattened
 asterisk     22 spokes x 5 radii = 221 points, band 23 (r=12).
 sas-wedge    25x25 side-scan wedge rescaled into [-12,12]^2, band 15.
 sweep-1d     1D raster-size sweep N in {8,16,32,64} at 30 dB SNR.
-rsweep-1d    1D band sweep r in {2,4,8,full} on a boxcar scene.
+rsweep-1d    1D band sweep r in {2,4,8,full} on a sine scene, N=16.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
     """Median l2 error (vs the true scene) over a raster-size or band sweep.
 
     axis="N": methods x sizes table over N in {8,16,32,64}.
-    axis="r": FTCG over band half-widths {2,4,8,full} at N=32.
+    axis="r": FTCG over band half-widths {2,4,8,full} at N=16.
     Returns {"axis": ..., "values": [...], "table": {method: [...]}}.
     """
     if axis == "N":

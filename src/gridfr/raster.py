@@ -55,7 +55,7 @@ class Raster:
             raise ConfigError("empty raster")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("non-finite raster point")
-        _check_duplicates(pts, self.dim)
+        _check_duplicates(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -67,9 +67,7 @@ class Raster:
 
     def max_abs(self) -> np.ndarray:
         """Per-axis maximum |coordinate|."""
-        if self.dim == 1:
-            return np.array([np.abs(self.points).max()])
-        return np.abs(self.points).max(axis=0)
+        return np.array([np.abs(self.coords(a)).max() for a in range(self.dim)])
 
     @property
     def raster_id(self) -> str:
@@ -79,15 +77,19 @@ class Raster:
         return h.hexdigest()[:16]
 
 
-def _check_duplicates(pts, dim):
+def _check_duplicates(pts):
+    """Reject two points within _DUPLICATE_TOL of each other on every axis."""
     arr = pts.reshape(len(pts), -1)
-    order = np.lexsort(arr.T[::-1])
-    srt = arr[order]
-    gaps = np.abs(np.diff(srt, axis=0)).max(axis=1)
-    if np.any(gaps <= _DUPLICATE_TOL):
-        # lexsort-adjacent equality catches exact dupes; confirm pairwise
-        # within tolerance only on the suspicious pairs
-        raise ConfigError("duplicate raster points")
+    srt = arr[np.argsort(arr[:, 0], kind="stable")]
+    # such a pair is as close on axis 0, so each point is compared with its
+    # k-th successor while their first coordinates are that close (the
+    # bound is padded against rounding)
+    reach = np.searchsorted(srt[:, 0], srt[:, 0] + 2 * _DUPLICATE_TOL,
+                            side="right") - np.arange(len(srt))
+    for k in range(1, reach.max()):
+        i = np.flatnonzero(reach > k)
+        if np.any(np.abs(srt[i + k] - srt[i]).max(axis=1) <= _DUPLICATE_TOL):
+            raise ConfigError("duplicate raster points")
 
 
 def _rng(seed):
@@ -131,11 +133,7 @@ def jittered_grid(extents, jitter: float, seed: int, index_range=None) -> Raster
         if hi < lo:
             raise ConfigError(f"empty index range ({lo}, {hi})")
     axes = [np.arange(lo, hi + 1, dtype=float) for lo, hi in ranges]
-    if dim == 1:
-        base = axes[0]
-    else:
-        i, j = np.meshgrid(axes[0], axes[1], indexing="ij")
-        base = np.stack([i.ravel(), j.ravel()], axis=1)
+    base = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     rng = _rng(seed)
     pts = base + rng.uniform(-jitter, jitter, size=base.shape)
     return Raster(dim=dim, points=pts, kind="jittered_grid", seed=int(seed),
@@ -272,5 +270,4 @@ def load_raster(path, dim: Optional[int] = None) -> Raster:
         if not pts:
             raise FormatError(f"{path}: no points")
     arr = np.array(pts)
-    return Raster(dim=fdim, points=arr if fdim == 2 else arr[:, 0],
-                  kind=kind, seed=seed)
+    return Raster(dim=fdim, points=arr, kind=kind, seed=seed)

@@ -44,7 +44,7 @@ from .errors import ConfigError
 from .numerics import (PinvInfo, band_kept_fraction, band_mask, default_band,
                        default_rtol, density_weights, pseudo_inverse)
 from .raster import Raster
-from .sampling import SampleSet, Scene
+from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
                      window_coefficient, window_values)
 
@@ -55,9 +55,10 @@ METHODS = ("cg", "frame", "ftcg")
 class ReconPlan:
     """Precomputed operators for a fixed raster/window/mode box.
 
-    Immutable after construction; reusable for any SampleSet taken on
-    the same raster.  `meta` carries build timings, retained-rank info,
-    any raster rescale transform, and quadrature self-check drift.
+    Immutable after construction (`build_plan` marks its arrays
+    read-only); reusable for any SampleSet taken on the same raster.
+    `meta` carries build timings, retained-rank info, any raster rescale
+    transform, and quadrature self-check drift.
     """
 
     raster: Raster
@@ -165,10 +166,7 @@ def build_psi(raster: Raster, window: WindowSpec, modes=None,
         marr = np.arange(-modes[axis], modes[axis] + 1)
         t = marr[None, :] - raster.coords(axis)[:, None]
         factors.append(_recip_window_transform(t, window, quad_nodes))
-    if raster.dim == 1:
-        return factors[0]
-    return np.einsum("pa,pb->pab", factors[0], factors[1],
-                     optimize=True).reshape(len(raster), -1)
+    return _kron_modes(factors, mode_axis=1)
 
 
 def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
@@ -196,10 +194,22 @@ def build_omega(raster: Raster, window: WindowSpec, modes=None) -> np.ndarray:
         f = spectrum_factor(d, window.sigma)
         f[np.abs(d) > window.K] = 0.0
         factors.append(f)
-    if raster.dim == 1:
-        return factors[0]
-    return np.einsum("ap,bp->abp", factors[0], factors[1],
-                     optimize=True).reshape(-1, len(raster))
+    return _kron_modes(factors, mode_axis=0)
+
+
+def _kron_modes(factors, mode_axis: int) -> np.ndarray:
+    """Tensor-product operator from per-axis factor tables.
+
+    Each table has a point axis and a mode axis (`mode_axis`).  The result
+    is their Kronecker product over the mode axis and their entrywise
+    product over the shared point axis; modes flatten row-major.
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.expand_dims(out, mode_axis + 1) * np.expand_dims(f, mode_axis)
+        out = out.reshape(out.shape[:mode_axis] + (-1,)
+                          + out.shape[mode_axis + 2:])
+    return out
 
 
 # ------------------------------------------------------------------- plans
@@ -269,31 +279,15 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     timings["total"] = time.perf_counter() - t0
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes
+    for arr in (psi, omega, dvec, bmat, tmat, cmat):
+        if arr is not None:
+            arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
                      methods=methods, band=band,
                      rtol=rtol if rtol is not None else default_rtol(
                          psi.shape if psi is not None else (len(raster),) * 2),
                      psi=psi, omega=omega, dvec=dvec, bmat=bmat,
                      tmat=tmat, cmat=cmat, meta=meta)
-
-
-def build_cg_plan(raster: Raster, window: WindowSpec, modes=None) -> ReconPlan:
-    return build_plan(raster, window, modes, methods=("cg",))
-
-
-def build_frame_plan(raster: Raster, window: WindowSpec, modes=None,
-                     quad_nodes: Optional[int] = None,
-                     rtol: Optional[float] = None) -> ReconPlan:
-    return build_plan(raster, window, modes, methods=("frame",),
-                      quad_nodes=quad_nodes, rtol=rtol)
-
-
-def build_ftcg_plan(raster: Raster, window: WindowSpec, modes=None,
-                    band: Optional[int] = None,
-                    quad_nodes: Optional[int] = None,
-                    rtol: Optional[float] = None) -> ReconPlan:
-    return build_plan(raster, window, modes, methods=("ftcg",), band=band,
-                      quad_nodes=quad_nodes, rtol=rtol)
 
 
 # ------------------------------------------------------------ coefficients
@@ -340,22 +334,12 @@ def _grid_tuple(grid_size, modes) -> tuple:
 
 def _synthesize_modes(coeffs, modes, grid, window: WindowSpec) -> np.ndarray:
     shape = tuple(2 * m + 1 for m in modes)
-    c = np.asarray(coeffs, dtype=complex).reshape(shape)
-    if len(modes) == 1:
-        (g,) = grid
-        arr = np.zeros(g, dtype=complex)
-        arr[np.arange(-modes[0], modes[0] + 1) % g] = c
-        img = np.fft.ifft(arr) * g
-        x = np.arange(g) / g
-        return img / window_values(x, window.sigma)
-    g1, g2 = grid
-    arr = np.zeros((g1, g2), dtype=complex)
-    arr[np.ix_(np.arange(-modes[0], modes[0] + 1) % g1,
-               np.arange(-modes[1], modes[1] + 1) % g2)] = c
-    img = np.fft.ifft2(arr) * g1 * g2
-    x1 = window_values(np.arange(g1) / g1, window.sigma)
-    x2 = window_values(np.arange(g2) / g2, window.sigma)
-    return img / np.multiply.outer(x1, x2)
+    arr = np.zeros(grid, dtype=complex)
+    arr[np.ix_(*[np.arange(-m, m + 1) % g for m, g in zip(modes, grid)])] = \
+        np.asarray(coeffs, dtype=complex).reshape(shape)
+    img = np.fft.ifftn(arr) * np.prod(grid)
+    return img / _outer([window_values(np.arange(g) / g, window.sigma)
+                         for g in grid])
 
 
 def reconstruct(method: str, samples: SampleSet, plan: ReconPlan,
@@ -376,38 +360,25 @@ def windowed_coefficients(scene: Scene, window: WindowSpec, modes) -> np.ndarray
     coefficients; pixel scenes are integrated panel by panel.
     """
     modes = tuple(int(m) for m in np.atleast_1d(modes))
+    axes = [np.arange(-m, m + 1).astype(float) for m in modes]
     if scene.kind in ("paper_test_fn", "trig_poly"):
-        if scene.dim == 1:
-            marr = np.arange(-modes[0], modes[0] + 1).astype(float)
-            out = np.zeros(marr.shape, dtype=complex)
-            for k, c in scene.coefficients.items():
-                out += c * window_coefficient(marr - float(k), window.sigma)
-            return out
-        m1 = np.arange(-modes[0], modes[0] + 1).astype(float)
-        m2 = np.arange(-modes[1], modes[1] + 1).astype(float)
-        out = np.zeros((m1.size, m2.size), dtype=complex)
-        for (k1, k2), c in scene.coefficients.items():
-            out += c * np.multiply.outer(
-                window_coefficient(m1 - k1, window.sigma),
-                window_coefficient(m2 - k2, window.sigma))
+        out = np.zeros(tuple(a.size for a in axes), dtype=complex)
+        for k, c in scene.coefficients.items():
+            out += c * _outer([window_coefficient(a - ka, window.sigma)
+                               for a, ka in zip(axes, np.atleast_1d(k))])
         return out.ravel()
     # pixel scenes: per-pixel Gauss-Legendre panels, exact on constants
-    from .sampling import _panel_rule, scene_eval
-    if scene.dim == 1:
-        nodes, wts = _panel_rule(len(scene.pixels), 1)
-        fx = scene_eval(scene, nodes) * window_values(nodes, window.sigma) * wts
-        marr = np.arange(-modes[0], modes[0] + 1).astype(float)
-        return np.exp(-2j * np.pi * np.multiply.outer(marr, nodes)) @ fx
-    (x1, x2), (w1, w2) = _panel_rule(scene.pixels.shape, 2)
-    grid = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
-    fx = scene_eval(scene, grid).astype(complex)
-    fx *= np.multiply.outer(w1 * window_values(x1, window.sigma),
-                            w2 * window_values(x2, window.sigma))
-    m1 = np.arange(-modes[0], modes[0] + 1).astype(float)
-    m2 = np.arange(-modes[1], modes[1] + 1).astype(float)
-    k1 = np.exp(-2j * np.pi * np.multiply.outer(m1, x1))
-    k2 = np.exp(-2j * np.pi * np.multiply.outer(m2, x2))
-    return np.einsum("ma,ab,nb->mn", k1, fx, k2, optimize=True).ravel()
+    rule = _panel_rule(scene.pixels.shape)
+    nodes = [x for x, _ in rule]
+    fx = (_scene_lattice(scene, nodes)
+          * _outer([window_values(x, window.sigma) for x in nodes])
+          * _outer([w for _, w in rule]))
+    # contract one axis at a time; moving the new mode axis last brings
+    # the next node axis to the front
+    for a, x in zip(axes, nodes):
+        ker = np.exp(-2j * np.pi * np.multiply.outer(a, x))
+        fx = np.moveaxis(ker @ fx, 0, -1)
+    return fx.ravel()
 
 
 def reference_image(scene: Scene, window: WindowSpec, modes,
@@ -428,15 +399,7 @@ def reference_image(scene: Scene, window: WindowSpec, modes,
 def scene_image(scene: Scene, grid_size, dim: int) -> ImageGrid:
     g = (int(grid_size),) * dim if np.isscalar(grid_size) \
         else tuple(int(v) for v in grid_size)
-    from .sampling import scene_eval
-    if dim == 1:
-        x = np.arange(g[0]) / g[0]
-        vals = scene_eval(scene, x)
-    else:
-        x1 = np.arange(g[0]) / g[0]
-        x2 = np.arange(g[1]) / g[1]
-        grid = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
-        vals = scene_eval(scene, grid)
+    vals = _scene_lattice(scene, [np.arange(n) / n for n in g])
     return ImageGrid(values=np.asarray(vals, dtype=complex), grid_size=g,
                      method="scene")
 

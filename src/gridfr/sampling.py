@@ -23,6 +23,7 @@ Sample CSV format::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,14 +124,11 @@ def _E(theta):
 
 def _trig_values(scene: Scene, raster: Raster) -> np.ndarray:
     out = np.zeros(len(raster), dtype=complex)
-    if raster.dim == 1:
-        lam = raster.points
-        for k, c in scene.coefficients.items():
-            out += c * _E(2.0 * np.pi * (float(k) - lam))
-    else:
-        l1, l2 = raster.points[:, 0], raster.points[:, 1]
-        for (k1, k2), c in scene.coefficients.items():
-            out += c * _E(2.0 * np.pi * (k1 - l1)) * _E(2.0 * np.pi * (k2 - l2))
+    for k, c in scene.coefficients.items():
+        term = c
+        for axis, ka in enumerate(np.atleast_1d(k)):
+            term = term * _E(2.0 * np.pi * (ka - raster.coords(axis)))
+        out += term
     return out
 
 
@@ -148,24 +146,16 @@ def analytic_coeffs(scene: Scene, raster: Raster) -> SampleSet:
 def scene_eval(scene: Scene, x) -> np.ndarray:
     """Evaluate the scene pointwise (x last axis = coordinates in 2D)."""
     x = np.asarray(x, dtype=float)
+    xs = [x] if scene.dim == 1 else [x[..., a] for a in range(scene.dim)]
     if scene.kind in ("paper_test_fn", "trig_poly"):
-        if scene.dim == 1:
-            out = np.zeros(x.shape, dtype=complex)
-            for k, c in scene.coefficients.items():
-                out += c * np.exp(2j * np.pi * float(k) * x)
-        else:
-            out = np.zeros(x.shape[:-1], dtype=complex)
-            for (k1, k2), c in scene.coefficients.items():
-                out += c * np.exp(2j * np.pi * (k1 * x[..., 0] + k2 * x[..., 1]))
+        out = np.zeros(xs[0].shape, dtype=complex)
+        for k, c in scene.coefficients.items():
+            phase = functools.reduce(np.add, [2j * np.pi * ka * xa for ka, xa
+                                              in zip(np.atleast_1d(k), xs)])
+            out += c * np.exp(phase)
         return out.real if _is_real_scene(scene) else out
-    pix = scene.pixels
-    if scene.dim == 1:
-        idx = np.clip((x * len(pix)).astype(int), 0, len(pix) - 1)
-        return pix[idx]
-    n1, n2 = pix.shape
-    i = np.clip((x[..., 0] * n1).astype(int), 0, n1 - 1)
-    j = np.clip((x[..., 1] * n2).astype(int), 0, n2 - 1)
-    return pix[i, j]
+    return scene.pixels[tuple(np.clip((xa * n).astype(int), 0, n - 1)
+                              for xa, n in zip(xs, scene.pixels.shape))]
 
 
 def _is_real_scene(scene: Scene) -> bool:
@@ -197,45 +187,46 @@ def quadrature_coeffs(scene: Scene, raster: Raster,
                     f"{int(np.ceil(needed))}",)
 
     if scene.kind == "grid_image":
-        nodes, wts = _panel_rule(np.shape(scene.pixels)[0] if scene.dim == 1
-                                 else scene.pixels.shape, scene.dim)
+        rule = _panel_rule(scene.pixels.shape)
     else:
-        xq, wq = gauss_legendre_01(int(nodes_per_axis))
-        nodes, wts = xq, wq
-
-    if raster.dim == 1:
-        fx = scene_eval(scene, nodes)
-        ker = np.exp(-2j * np.pi * np.multiply.outer(raster.points, nodes))
-        vals = ker @ (wts * fx)
-    else:
-        if scene.kind == "grid_image":
-            (x1, w1), (x2, w2) = nodes, wts
-        else:
-            x1 = x2 = nodes
-            w1 = w2 = wts
-        grid = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
-        fx = scene_eval(scene, grid) * np.multiply.outer(w1, w2)
-        k1 = np.exp(-2j * np.pi * np.multiply.outer(raster.points[:, 0], x1))
-        k2 = np.exp(-2j * np.pi * np.multiply.outer(raster.points[:, 1], x2))
-        vals = np.einsum("na,ab,nb->n", k1, fx.astype(complex), k2,
-                         optimize=True)
+        rule = [gauss_legendre_01(int(nodes_per_axis))] * scene.dim
+    nodes = [x for x, _ in rule]
+    fx = _outer([w for _, w in rule]) * _scene_lattice(scene, nodes)
+    kernels = [np.exp(-2j * np.pi * np.multiply.outer(raster.coords(axis), x))
+               for axis, x in enumerate(nodes)]
+    # sum over the first axis's nodes by a product, the others point by point
+    vals = kernels[0] @ fx
+    for ker in kernels[1:]:
+        vals = np.einsum("pa...,pa->p...", vals, ker)
     return SampleSet(raster_ref=raster.raster_id, values=vals,
                      provenance="quadrature", warnings=warnings)
 
 
-def _panel_rule(shape, dim, per_pixel: int = 4):
-    """Composite GL nodes/weights with per-pixel panels."""
-    def axis_rule(npix):
-        xq, wq = gauss_legendre_01(per_pixel)
+def _outer(vectors):
+    """Tensor (outer) product of per-axis vectors, axis 0 first."""
+    return functools.reduce(np.multiply.outer, vectors)
+
+
+def _scene_lattice(scene: Scene, axes) -> np.ndarray:
+    """Scene values on the tensor lattice of per-axis coordinates.
+
+    The result has one array axis per scene axis.  A 1D scene sees the
+    trailing length-1 coordinate axis as one more array axis, which the
+    final reshape drops.
+    """
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return scene_eval(scene, pts).reshape(pts.shape[:-1])
+
+
+def _panel_rule(shape, per_pixel: int = 4):
+    """Composite GL nodes/weights with per-pixel panels, one pair per axis."""
+    xq, wq = gauss_legendre_01(per_pixel)
+    rule = []
+    for npix in shape:
         starts = np.arange(npix) / npix
-        nodes = (starts[:, None] + xq[None, :] / npix).ravel()
-        wts = np.tile(wq / npix, npix)
-        return nodes, wts
-    if dim == 1:
-        return axis_rule(int(shape))
-    (n1, n2) = shape
-    r1, r2 = axis_rule(n1), axis_rule(n2)
-    return (r1[0], r2[0]), (r1[1], r2[1])
+        rule.append(((starts[:, None] + xq[None, :] / npix).ravel(),
+                     np.tile(wq / npix, npix)))
+    return rule
 
 
 def add_noise(samples: SampleSet, snr_db: float, seed: int) -> SampleSet:

@@ -14,9 +14,6 @@ by the mass of w outside [0,1]; that tail is about 2*sigma*sqrt(2pi)*Q(1/(2 sigm
 with Q the Gaussian tail function, e.g. ~2e-5 at sigma=1/8 and below
 1e-10 only for sigma <= ~1/13.6.  `window_coefficient` computes the
 exact [0,1] coefficient by quadrature wherever that distinction matters.
-
-Only the Gaussian family is implemented; the ``family`` field leaves
-room for other kernels (Kaiser-Bessel etc.) later.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ class WindowSpec:
     trunc_eps: float
     K: int
     dim: int
-    family: str = "gaussian"
 
 
 def truncation_radius(sigma: float, trunc_eps: float) -> int:
@@ -81,8 +77,6 @@ def eval_window(x, spec: WindowSpec):
     per-axis factors are multiplied.  Raises ConfigError outside the
     unit box.
     """
-    if spec.family != "gaussian":
-        raise NotImplementedError(f"window family {spec.family!r}")
     x = np.asarray(x, dtype=float)
     if spec.dim == 2:
         if x.shape == () or x.shape[-1] != 2:
@@ -104,8 +98,6 @@ def spectrum_factor(xi, sigma: float):
 
 def eval_spectrum(xi, spec: WindowSpec):
     """Evaluate w_hat at a frequency (one value per axis; product in 2D)."""
-    if spec.family != "gaussian":
-        raise NotImplementedError(f"window family {spec.family!r}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ConfigError("non-finite frequency")

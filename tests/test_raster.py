@@ -149,3 +149,13 @@ def test_duplicate_points_rejected():
     from gridfr.raster import Raster
     with pytest.raises(ConfigError):
         Raster(dim=1, points=np.array([0.0, 1.0, 1.0]))
+
+
+def test_near_duplicates_apart_in_sort_order_rejected():
+    # the first and third points agree within 1e-12 on both axes, but
+    # sorting by x puts (5e-14, 0) between them
+    from gridfr.raster import Raster
+    with pytest.raises(ConfigError):
+        Raster(dim=2, points=np.array([(0.0, 1.0), (5e-14, 0.0), (1e-13, 1.0)]))
+    r = Raster(dim=2, points=np.array([(0.0, 1.0), (5e-14, 0.0), (3e-12, 1.0)]))
+    assert len(r) == 3

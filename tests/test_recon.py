@@ -3,15 +3,15 @@ import pytest
 from scipy import integrate
 
 from gridfr import (ConfigError, admissibility_slope, analytic_coeffs,
-                    build_cg_plan, build_frame_plan, build_ftcg_plan,
                     build_omega, build_plan, build_psi, coefficients,
-                    gaussian_window, jittered_grid, reconstruct,
+                    gaussian_window, grid_image_scene, jittered_grid,
+                    reconstruct,
                     reference_image, scene_image, sine_scene, synthesize,
                     trig_poly_scene, windowed_coefficients)
 from gridfr.raster import Raster
 from gridfr.recon import psi_entry_quad
 from gridfr.sampling import SampleSet
-from gridfr.window import window_values
+from gridfr.window import window_coefficient, window_values
 
 
 def uniform_raster(n):
@@ -114,8 +114,8 @@ def test_plan_shapes_1d():
 def test_plan_rebuild_deterministic():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(8, 0.25, 9)
-    a = build_ftcg_plan(r, win, 8, band=3)
-    b = build_ftcg_plan(r, win, 8, band=3)
+    a = build_plan(r, win, 8, methods=("ftcg",), band=3)
+    b = build_plan(r, win, 8, methods=("ftcg",), band=3)
     assert np.array_equal(a.tmat, b.tmat)
     assert np.array_equal(a.cmat, b.cmat)
 
@@ -123,7 +123,7 @@ def test_plan_rebuild_deterministic():
 def test_frame_plan_rowspace_identity():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(12, 0.25, 21)
-    plan = build_frame_plan(r, win, 12)
+    plan = build_plan(r, win, 12, methods=("frame",))
     psi, b = plan.psi, plan.bmat
     assert np.linalg.norm(psi @ b @ psi - psi) / np.linalg.norm(psi) < 1e-8
 
@@ -166,7 +166,7 @@ def test_coefficients_raster_mismatch():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r1 = jittered_grid(6, 0.25, 1)
     r2 = jittered_grid(6, 0.25, 2)
-    plan = build_cg_plan(r1, win, 6)
+    plan = build_plan(r1, win, 6, methods=("cg",))
     s = analytic_coeffs(sine_scene(), r2)
     with pytest.raises(ConfigError):
         coefficients(plan, s, "cg")
@@ -175,7 +175,7 @@ def test_coefficients_raster_mismatch():
 def test_synthesize_single_dc_coefficient():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(4)
-    plan = build_cg_plan(r, win, 4)
+    plan = build_plan(r, win, 4, methods=("cg",))
     c = np.zeros(9, complex)
     c[4] = 1.0            # mode m = 0
     img = synthesize(c, plan, 64)
@@ -187,7 +187,7 @@ def test_synthesize_single_dc_coefficient():
 def test_synthesize_matches_naive_evaluation():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(8)
-    plan = build_cg_plan(r, win, 8)
+    plan = build_plan(r, win, 8, methods=("cg",))
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(13)))
     c = rng.normal(size=17) + 1j * rng.normal(size=17)
     img = synthesize(c, plan, 64)
@@ -205,7 +205,7 @@ def test_synthesize_recovers_windowed_trig_poly():
     # boundary cusp is amplified by 1/w back near x=0 and x=1
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(8)
-    plan = build_cg_plan(r, win, 8)
+    plan = build_plan(r, win, 8, methods=("cg",))
     scene = trig_poly_scene({2: -0.35j, -2: 0.35j, 3: -0.1j, -3: 0.1j}, dim=1)
     c = windowed_coefficients(scene, win, (8,))
     img = synthesize(c, plan, 256)
@@ -219,7 +219,7 @@ def test_synthesize_recovers_windowed_trig_poly():
 def test_synthesize_grid_doubling_consistency():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(5)
-    plan = build_cg_plan(r, win, 5)
+    plan = build_plan(r, win, 5, methods=("cg",))
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(8)))
     c = rng.normal(size=11) + 1j * rng.normal(size=11)
     a = synthesize(c, plan, 64)
@@ -229,7 +229,7 @@ def test_synthesize_grid_doubling_consistency():
 
 def test_synthesize_grid_too_small():
     win = gaussian_window(0.125, 1e-12, dim=1)
-    plan = build_cg_plan(uniform_raster(8), win, 8)
+    plan = build_plan(uniform_raster(8), win, 8, methods=("cg",))
     with pytest.raises(ConfigError):
         synthesize(np.zeros(17, complex), plan, 16)
 
@@ -278,5 +278,29 @@ def test_admissibility_decay_slope():
 def test_mode_box_warning_recorded():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(8, 0.25, 4)
-    plan = build_cg_plan(r, win, 4)      # mode box way below data extent
+    plan = build_plan(r, win, 4, methods=("cg",))  # mode box way below data extent
     assert "mode_box_warning" in plan.meta
+
+
+def test_windowed_coefficients_constant_pixels_2d_separate():
+    win2 = gaussian_window(0.2, 1e-12, dim=2)
+    win1 = gaussian_window(0.2, 1e-12, dim=1)
+    c = windowed_coefficients(grid_image_scene(np.ones((4, 5)), 2), win2, (3, 2))
+    c1 = windowed_coefficients(grid_image_scene(np.ones(4), 1), win1, 3)
+    c2 = windowed_coefficients(grid_image_scene(np.ones(5), 1), win1, 2)
+    np.testing.assert_allclose(c, np.multiply.outer(c1, c2).ravel(),
+                               rtol=0, atol=1e-15)
+    # the panels are exact on the pixels, not on the Gaussian window, so
+    # the long-quadrature window coefficients agree only to ~1e-4
+    exact = np.multiply.outer(window_coefficient(np.arange(-3, 4), 0.2),
+                              window_coefficient(np.arange(-2, 3), 0.2))
+    np.testing.assert_allclose(c, exact.ravel(), rtol=0, atol=3e-4)
+
+
+def test_plan_arrays_read_only():
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    plan = build_plan(jittered_grid(6, 0.25, 5), win, 6, band=3)
+    with pytest.raises(ValueError):
+        plan.psi[0, 0] = 0.0
+    for name in ("omega", "dvec", "bmat", "tmat", "cmat"):
+        assert not getattr(plan, name).flags.writeable

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gridfr import (ConfigError, add_noise, analytic_coeffs, boxcar_scene,
-                    check_conjugate_symmetry, jittered_grid, load_samples,
-                    paper_test_scene, quadrature_coeffs, save_samples,
-                    scene_eval, sine_scene, trig_poly_scene)
+                    check_conjugate_symmetry, grid_image_scene, jittered_grid,
+                    load_samples, paper_test_scene, quadrature_coeffs,
+                    save_samples, scene_eval, sine_scene, trig_poly_scene)
 from gridfr.raster import Raster
 
 
@@ -86,6 +86,32 @@ def test_quadrature_boxcar_exact_panels():
             expect[i] = (np.exp(-2j * np.pi * l * 0.25)
                          - np.exp(-2j * np.pi * l * 0.75)) / (2j * np.pi * l)
     np.testing.assert_allclose(q, expect, atol=1e-12)
+
+
+def test_quadrature_pixels_2d_constant_image():
+    # 4x5 pixels: the two axes carry different panel rules
+    scene = grid_image_scene(np.ones((4, 5)), dim=2)
+    r = pts2((0, 0), (1, 0), (0, 1), (-2, 3), (3, -1), (1, 2))
+    q = quadrature_coeffs(scene, r).values
+    assert abs(q[0] - 1.0) < 1e-14
+    assert np.max(np.abs(q[1:])) < 1e-14
+
+
+def test_quadrature_pixels_2d_half_plane_closed_form():
+    pixels = np.zeros((4, 5))
+    pixels[:2] = 1.0                       # indicator of x1 < 1/2
+    scene = grid_image_scene(pixels, dim=2)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(4)))
+    # per-pixel 4-node panels integrate the kernel to 1e-12 for |lambda|
+    # below about 1/3
+    lam = rng.uniform(-0.25, 0.25, size=(20, 2))
+    q = quadrature_coeffs(scene, Raster(dim=2, points=lam)).values
+
+    def segment(l, a):                     # int_0^a exp(-2 pi i l x) dx
+        return (1.0 - np.exp(-2j * np.pi * l * a)) / (2j * np.pi * l)
+
+    expect = segment(lam[:, 0], 0.5) * segment(lam[:, 1], 1.0)
+    np.testing.assert_allclose(q, expect, rtol=0, atol=1e-12)
 
 
 def test_quadrature_warning_flag():
