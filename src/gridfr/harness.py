@@ -281,8 +281,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
                              config.window.get("trunc_eps", 1e-12),
                              dim=config.dim)
     if scene.kind == "grid_image":
-        nodes = int(4 * (np.max(rast.max_abs()) + scene.bandwidth()) + 64)
-        samples = quadrature_coeffs(scene, rast, nodes)
+        samples = quadrature_coeffs(scene, rast)
     else:
         samples = analytic_coeffs(scene, rast)
     if not math.isinf(config.snr_db):

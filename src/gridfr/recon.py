@@ -46,7 +46,7 @@ from .numerics import (PinvInfo, band_kept_fraction, band_mask, default_band,
 from .raster import Raster
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
-                     window_coefficient, window_values)
+                     truncation_radius, window_coefficient, window_values)
 
 METHODS = ("cg", "frame", "ftcg")
 
@@ -57,7 +57,9 @@ class ReconPlan:
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
-    `meta` carries build timings, retained-rank info, any raster rescale
+    `meta` carries build timings (seconds per stage: psi, drift, omega,
+    density, frame_pinv, ftcg_pinv, for the stages the methods need, and
+    their enclosing total), retained-rank info, any raster rescale
     transform, and quadrature self-check drift.
     """
 
@@ -138,7 +140,11 @@ def default_quad_nodes(raster: Raster, modes) -> int:
 
 
 def _recip_window_transform(t, window: WindowSpec, nodes: int):
-    """v(t) = int_0^1 exp(2 pi i t x) / w(x) dx on an array of offsets."""
+    """v(t) = int_0^1 exp(2 pi i t x) / w(x) dx on an array of offsets.
+
+    Evaluates the exponential at every (offset, node) pair; the oracle
+    behind `psi_entry_quad` and `psi_quadrature_drift`, not a build path.
+    """
     xq, wq = gauss_legendre_01(nodes)
     vx = wq / window_values(xq, window.sigma)
     return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, float), xq)) @ vx
@@ -157,15 +163,24 @@ def psi_entry_quad(window: WindowSpec, lam, m, nodes: int = 2048) -> complex:
 
 def build_psi(raster: Raster, window: WindowSpec, modes=None,
               quad_nodes: Optional[int] = None) -> np.ndarray:
-    """Cross-Gram of data exponentials against windowed modes (P x Q)."""
+    """Cross-Gram of data exponentials against windowed modes (P x Q).
+
+    Each per-axis factor is the Gauss-Legendre sum of
+    e^{2 pi i (m - lambda) x} / w(x), split as
+    e^{-2 pi i lambda x} . e^{2 pi i m x}: one (P x nodes) @ (nodes x 2M+1)
+    product per axis, so no P x (2M+1) x nodes table is ever formed.
+    """
     modes = _axis_modes(raster, modes)
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
+    xq, wq = gauss_legendre_01(quad_nodes)
+    vx = wq / window_values(xq, window.sigma)
     factors = []
     for axis in range(raster.dim):
         marr = np.arange(-modes[axis], modes[axis] + 1)
-        t = marr[None, :] - raster.coords(axis)[:, None]
-        factors.append(_recip_window_transform(t, window, quad_nodes))
+        e_lam = np.exp(-2j * np.pi * np.multiply.outer(raster.coords(axis), xq))
+        e_m = np.exp(2j * np.pi * np.multiply.outer(xq, marr))
+        factors.append(e_lam @ (vx[:, None] * e_m))
     return _kron_modes(factors, mode_axis=1)
 
 
@@ -242,9 +257,12 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     needs_psi = bool({"frame", "ftcg"} & set(methods))
     needs_omega = bool({"cg", "ftcg"} & set(methods))
     if needs_psi:
+        t1 = time.perf_counter()
         psi = build_psi(raster, window, modes, quad_nodes)
-        timings["psi"] = time.perf_counter() - t0
+        timings["psi"] = time.perf_counter() - t1
+        t1 = time.perf_counter()
         drift = psi_quadrature_drift(raster, window, modes, quad_nodes)
+        timings["drift"] = time.perf_counter() - t1
         meta["psi_quad_drift"] = drift
         if drift > 1e-8:
             meta["psi_quad_warning"] = (
@@ -254,7 +272,9 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         omega = build_omega(raster, window, modes)
         timings["omega"] = time.perf_counter() - t1
     if "cg" in methods:
+        t1 = time.perf_counter()
         dvec = density_weights(raster)
+        timings["density"] = time.perf_counter() - t1
     if "frame" in methods:
         t1 = time.perf_counter()
         bmat, info = pseudo_inverse(psi, rtol)
@@ -357,7 +377,9 @@ def windowed_coefficients(scene: Scene, window: WindowSpec, modes) -> np.ndarray
     """Exact [0,1] Fourier coefficients of f*w on the mode lattice.
 
     Trig scenes convolve their coefficient dict with the exact window
-    coefficients; pixel scenes are integrated panel by panel.
+    coefficients; pixel scenes are integrated panel by panel, with panels
+    sized for the highest mode plus the window's bandwidth (the frequency
+    where its spectrum falls below double precision).
     """
     modes = tuple(int(m) for m in np.atleast_1d(modes))
     axes = [np.arange(-m, m + 1).astype(float) for m in modes]
@@ -367,8 +389,8 @@ def windowed_coefficients(scene: Scene, window: WindowSpec, modes) -> np.ndarray
             out += c * _outer([window_coefficient(a - ka, window.sigma)
                                for a, ka in zip(axes, np.atleast_1d(k))])
         return out.ravel()
-    # pixel scenes: per-pixel Gauss-Legendre panels, exact on constants
-    rule = _panel_rule(scene.pixels.shape)
+    reach = max(modes) + truncation_radius(window.sigma, 1e-16)
+    rule = _panel_rule(scene.pixels.shape, reach)
     nodes = [x for x, _ in rule]
     fx = (_scene_lattice(scene, nodes)
           * _outer([window_values(x, window.sigma) for x in nodes])

@@ -12,8 +12,9 @@ sine product test function) and rest on
 
 so that a pure mode k leaks into non-integer lambda as E(2 pi (k - lambda)).
 The quadrature path exists as an independent cross-check and for pixel
-scenes, where per-pixel Gauss-Legendre panels integrate the piecewise
-constant profile exactly.
+scenes, which get one Gauss-Legendre panel per pixel: the profile is
+constant on each panel, and each panel has enough nodes to integrate
+the kernel at the highest wavenumber to double precision.
 
 Sample CSV format::
 
@@ -174,21 +175,22 @@ def quadrature_coeffs(scene: Scene, raster: Raster,
     """Brute-force quadrature of the Fourier integral (oracle path).
 
     Smooth scenes use a single Gauss-Legendre rule with nodes_per_axis
-    nodes; pixel scenes use a 4-node panel per pixel, which integrates
-    the piecewise-constant profile exactly.  A too-small node budget is
-    flagged on the SampleSet rather than raised.
+    nodes, and a budget too small for the data extent is flagged on the
+    SampleSet rather than raised.  Pixel scenes use one panel per pixel
+    (see `_panel_rule`) sized from the largest |lambda|, with at least
+    nodes_per_axis nodes per axis in total, so they need no flag.
     """
     if scene.dim != raster.dim:
         raise ConfigError(f"scene is {scene.dim}D but raster is {raster.dim}D")
     warnings = ()
-    needed = 4.0 * (float(np.max(raster.max_abs())) + scene.bandwidth())
-    if nodes_per_axis < needed:
-        warnings = (f"nodes_per_axis={nodes_per_axis} below recommended "
-                    f"{int(np.ceil(needed))}",)
-
     if scene.kind == "grid_image":
-        rule = _panel_rule(scene.pixels.shape)
+        rule = _panel_rule(scene.pixels.shape, float(np.max(raster.max_abs())),
+                           nodes_per_axis)
     else:
+        needed = 4.0 * (float(np.max(raster.max_abs())) + scene.bandwidth())
+        if nodes_per_axis < needed:
+            warnings = (f"nodes_per_axis={nodes_per_axis} below recommended "
+                        f"{int(np.ceil(needed))}",)
         rule = [gauss_legendre_01(int(nodes_per_axis))] * scene.dim
     nodes = [x for x, _ in rule]
     fx = _outer([w for _, w in rule]) * _scene_lattice(scene, nodes)
@@ -218,11 +220,20 @@ def _scene_lattice(scene: Scene, axes) -> np.ndarray:
     return scene_eval(scene, pts).reshape(pts.shape[:-1])
 
 
-def _panel_rule(shape, per_pixel: int = 4):
-    """Composite GL nodes/weights with per-pixel panels, one pair per axis."""
-    xq, wq = gauss_legendre_01(per_pixel)
+def _panel_rule(shape, reach: float, nodes_per_axis: int = 0):
+    """Composite GL nodes/weights with per-pixel panels, one pair per axis.
+
+    n Gauss-Legendre nodes integrate exp(i phi t) over a panel to double
+    precision once n >= 12 + phi/2, phi being the phase the integrand
+    turns through on the panel; a panel of width 1/npix at frequency
+    `reach` turns through 2 pi reach / npix.  Each axis also gets at
+    least `nodes_per_axis` nodes in total.
+    """
     rule = []
     for npix in shape:
+        per_pixel = max(12 + int(np.ceil(np.pi * reach / npix)),
+                        int(np.ceil(nodes_per_axis / npix)))
+        xq, wq = gauss_legendre_01(per_pixel)
         starts = np.arange(npix) / npix
         rule.append(((starts[:, None] + xq[None, :] / npix).ravel(),
                      np.tile(wq / npix, npix)))

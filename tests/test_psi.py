@@ -1,0 +1,72 @@
+"""Psi assembled as one GEMM per axis equals the direct quadrature sum.
+
+`build_psi` factors e^{2 pi i (m - lambda) x} into e^{-2 pi i lambda x}
+times e^{2 pi i m x} and contracts the nodes with a matrix product; the
+oracle `_recip_window_transform` evaluates the unsplit exponential on
+the same Gauss-Legendre rule.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridfr import build_psi, gaussian_window
+from gridfr.harness import preset_config, raster_from_config
+from gridfr.raster import Raster
+from gridfr.recon import _recip_window_transform, default_quad_nodes
+
+# hundredths keep distinct points farther apart than the duplicate tolerance
+coord = st.integers(-6400, 6400).map(lambda k: k / 100.0)
+sigma = st.floats(1 / 8, 1 / 4)
+half_extent = st.integers(0, 32)
+
+
+def assert_matches_oracle(raster, win, modes):
+    nodes = default_quad_nodes(raster, modes)
+    psi = build_psi(raster, win, modes, nodes)
+    f = [_recip_window_transform(
+        np.arange(-m, m + 1)[None, :] - raster.coords(axis)[:, None],
+        win, nodes) for axis, m in enumerate(modes)]
+    want = f[0] if len(f) == 1 else \
+        np.einsum("pa,pb->pab", *f).reshape(psi.shape)
+    # rounding in either sum scales with sum_q w_q / w(x_q) = v(0), the
+    # largest entry Psi can have, not with the largest entry of this Psi
+    # (tiny when every point lies far outside the mode box)
+    v0 = _recip_window_transform(np.zeros(1), win, nodes).real[0]
+    np.testing.assert_allclose(psi, want, rtol=0,
+                               atol=1e-13 * v0 ** len(modes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=st.lists(coord, min_size=1, max_size=12, unique=True),
+       s=sigma, m=half_extent)
+def test_psi_1d_equals_direct_quadrature(pts, s, m):
+    raster = Raster(dim=1, points=np.array(pts))
+    assert_matches_oracle(raster, gaussian_window(s, 1e-12, dim=1), (m,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=st.lists(st.tuples(coord, coord), min_size=1, max_size=12,
+                    unique=True),
+       s=sigma, modes=st.tuples(half_extent, half_extent))
+def test_psi_2d_equals_direct_quadrature(pts, s, modes):
+    raster = Raster(dim=2, points=np.array(pts))
+    assert_matches_oracle(raster, gaussian_window(s, 1e-12, dim=2), modes)
+
+
+def test_psi_noisy_grid_peak_memory_near_output_size():
+    # the direct sum would hold a P x (2M+1) x nodes table (~300 MB here)
+    cfg = preset_config("noisy-grid", 101)
+    raster, _ = raster_from_config(cfg.raster, cfg.seed)
+    win = gaussian_window(cfg.window["sigma"], cfg.window["trunc_eps"], dim=2)
+    build_psi(raster, win, cfg.modes)      # warm the node cache
+    tracemalloc.start()
+    try:
+        psi = build_psi(raster, win, cfg.modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.shape == (900, 841)
+    assert peak < 4 * psi.nbytes

@@ -290,11 +290,21 @@ def test_windowed_coefficients_constant_pixels_2d_separate():
     c2 = windowed_coefficients(grid_image_scene(np.ones(5), 1), win1, 2)
     np.testing.assert_allclose(c, np.multiply.outer(c1, c2).ravel(),
                                rtol=0, atol=1e-15)
-    # the panels are exact on the pixels, not on the Gaussian window, so
-    # the long-quadrature window coefficients agree only to ~1e-4
+    # the panels are sized for the window's bandwidth too, so they agree
+    # with the long-quadrature window coefficients
     exact = np.multiply.outer(window_coefficient(np.arange(-3, 4), 0.2),
                               window_coefficient(np.arange(-2, 3), 0.2))
-    np.testing.assert_allclose(c, exact.ravel(), rtol=0, atol=3e-4)
+    np.testing.assert_allclose(c, exact.ravel(), rtol=0, atol=1e-12)
+
+
+def test_plan_timings_cover_every_stage():
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    plan = build_plan(jittered_grid(8, 0.25, 5), win, 8, band=3)
+    t = plan.meta["timings"]
+    stages = ("psi", "drift", "omega", "density", "frame_pinv", "ftcg_pinv")
+    assert set(t) == set(stages) | {"total"}
+    assert all(t[k] >= 0.0 for k in t)
+    assert sum(t[k] for k in stages) <= t["total"]
 
 
 def test_plan_arrays_read_only():

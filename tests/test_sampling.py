@@ -74,8 +74,7 @@ def test_quadrature_constant_scene_orthogonality():
 
 def test_quadrature_boxcar_exact_panels():
     scene = boxcar_scene(0.25, 0.75, 64)
-    r = Raster(dim=1, points=np.array([0.0, 1.0, 2.0, 5.5]))
-    q = quadrature_coeffs(scene, r, 256).values
+    r = Raster(dim=1, points=np.array([0.0, 1.0, 2.0, 5.5, 32.3, 63.7, -63.7]))
     # exact transform of the indicator of [1/4, 3/4)
     lam = r.points
     expect = np.empty(len(lam), complex)
@@ -85,7 +84,23 @@ def test_quadrature_boxcar_exact_panels():
         else:
             expect[i] = (np.exp(-2j * np.pi * l * 0.25)
                          - np.exp(-2j * np.pi * l * 0.75)) / (2j * np.pi * l)
-    np.testing.assert_allclose(q, expect, atol=1e-12)
+    # panels are sized from |lambda| whatever the budget; a fixed 4 nodes
+    # per pixel was 22% off at 63.7
+    for nodes in (256, 1024):
+        s = quadrature_coeffs(scene, r, nodes)
+        np.testing.assert_allclose(s.values, expect, rtol=0, atol=1e-12)
+        assert s.warnings == ()
+
+
+def test_quadrature_pixels_honour_nodes_per_axis():
+    # a larger budget than the panels need still changes the rule, and
+    # leaves the (already converged) result in place
+    scene = boxcar_scene(0.25, 0.75, 16)
+    r = Raster(dim=1, points=np.array([0.7, 3.1]))
+    a = quadrature_coeffs(scene, r, 16).values
+    b = quadrature_coeffs(scene, r, 4096).values
+    assert not np.array_equal(a, b)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
 def test_quadrature_pixels_2d_constant_image():
@@ -102,8 +117,6 @@ def test_quadrature_pixels_2d_half_plane_closed_form():
     pixels[:2] = 1.0                       # indicator of x1 < 1/2
     scene = grid_image_scene(pixels, dim=2)
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(4)))
-    # per-pixel 4-node panels integrate the kernel to 1e-12 for |lambda|
-    # below about 1/3
     lam = rng.uniform(-0.25, 0.25, size=(20, 2))
     q = quadrature_coeffs(scene, Raster(dim=2, points=lam)).values
 
