@@ -23,6 +23,7 @@ rsweep-1d    1D band sweep r in {2,4,8,full} on a sine scene, N=16.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -293,7 +294,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     plan = build_plan(rast, window, config.modes, config.methods,
                       band=config.band, quad_nodes=config.quad_nodes,
                       rtol=config.rtol, meta=meta)
-    reference = reference_image(scene, window, plan.modes, config.grid_size)
+    grid = config.grid_size
+    reference = _reference(
+        json.dumps(config.scene, sort_keys=True), config.dim,
+        config.window["sigma"], config.window.get("trunc_eps", 1e-12),
+        plan.modes, grid if np.isscalar(grid) else tuple(grid))
     scn_img = scene_image(scene, config.grid_size, config.dim)
 
     reports = {}
@@ -321,6 +326,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         _write_artifacts(out_dir, config, rast, samples, plan, reference,
                          scn_img, images, reports)
     return reports
+
+
+@functools.lru_cache(maxsize=8)
+def _reference(scene_json: str, dim: int, sigma: float, trunc_eps: float,
+               modes: tuple, grid_size) -> ImageGrid:
+    """The reference image, computed once per distinct scene, window,
+    mode box and grid: it does not depend on the raster, seed or noise.
+
+    The cached ImageGrid is shared between runs; its values are read-only.
+    """
+    scene = scene_from_config(json.loads(scene_json), dim)
+    window = gaussian_window(sigma, trunc_eps, dim=dim)
+    return reference_image(scene, window, modes, grid_size)
 
 
 def _fmt(v):

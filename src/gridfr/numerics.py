@@ -1,16 +1,20 @@
 """Dense linear-algebra kernel: truncated pseudo-inverse, band masking,
 condition numbers, and density-compensation quadrature weights.
 
-Matrices are plain complex numpy arrays throughout; SVD work is
-delegated to numpy's LAPACK bindings.  The pseudo-inverse treats
-singular values below ``rtol * sigma_max`` as zero; the default
-threshold is ``1e-10 * max(rows, cols)`` and every factorization
-reports its retained rank and condition number so ill-conditioning is
-visible instead of silent.
+Matrices are plain complex numpy arrays throughout, and every
+factorization is one of numpy's LAPACK bindings (LU, QR or SVD).  The
+pseudo-inverse treats singular values below ``rtol * sigma_max`` as
+zero; the default threshold is ``1e-10 * max(rows, cols)``.  A square
+or tall matrix whose LU or QR inverse certifies that no singular value
+falls below the threshold is inverted by that factorization; any other
+matrix takes the truncated SVD.  Every factorization reports its
+retained rank and condition number so ill-conditioning is visible
+instead of silent.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +29,21 @@ def default_rtol(shape) -> float:
 
 @dataclass(frozen=True)
 class PinvInfo:
-    """Spectrum bookkeeping for one truncated pseudo-inversion."""
+    """Spectrum bookkeeping for one truncated pseudo-inversion.
+
+    `factorization` names the path that ran: "svd", "lu" or "qr".  After
+    an SVD, `sigma_max` and `sigma_min_kept` are the exact largest and
+    smallest retained singular values.  After LU or QR they are an upper
+    and a lower bound on the extreme singular values, sqrt(|A|_1 |A|_inf)
+    and 1/sqrt(|X|_1 |X|_inf) for the inverse X, so `kappa` is an upper
+    bound on the 2-norm condition number (at most sqrt(rows*cols) times
+    it).
+    """
 
     rank: int
     sigma_max: float
     sigma_min_kept: float
+    factorization: str = "svd"
 
     @property
     def kappa(self) -> float:
@@ -37,11 +51,16 @@ class PinvInfo:
 
 
 def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
-    """Moore-Penrose pseudo-inverse via SVD with relative truncation.
+    """Moore-Penrose pseudo-inverse with relative truncation.
 
-    Returns ``(pinv, info)``.  Rank deficiency is handled by zeroing
-    singular values below rtol*sigma_max; an identically zero matrix is
-    a NumericalError (rank collapse).
+    Returns ``(pinv, info)``.  A square matrix is first inverted by LU
+    and a tall one by QR (X = R^-1 Q^H).  The result is accepted when the
+    condition bound sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) >= kappa_2(A) shows
+    every singular value lies above rtol*sigma_max, so the SVD would keep
+    them all.  Otherwise (an exactly singular factor, a bound too large,
+    a wide matrix) the truncated SVD runs: singular values below
+    rtol*sigma_max are zeroed, and an identically zero matrix is a
+    NumericalError (rank collapse).
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -50,6 +69,68 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
         raise ConfigError("non-finite matrix entries")
     if rtol is None:
         rtol = default_rtol(a.shape)
+    # a failed attempt's arrays are freed on return, before the SVD runs
+    factored = _factored_inverse(a, rtol)
+    if factored is not None:
+        return factored
+    _release_free_heap()
+    return _svd_pinv(a, rtol)
+
+
+def _release_free_heap() -> None:
+    """Return memory the C heap holds but no longer uses to the OS.
+
+    After numpy frees a LAPACK buffer of tens of MB, glibc raises its
+    mmap threshold and serves later arrays of that size from its heap,
+    which it keeps when they are freed.  Without this call the memory of
+    a failed LU/QR attempt stays resident under the SVD's workspace (the
+    noisy-grid seed-102 plan peaked 9 MB above the SVD-only build).
+    Where the C library has no malloc_trim, nothing happens.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+def _norm_1_inf(a: np.ndarray) -> float:
+    """sqrt(|a|_1 |a|_inf), an upper bound on the 2-norm of a."""
+    mag = np.abs(a)
+    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+
+
+def _factored_inverse(a: np.ndarray, rtol: float):
+    """LU (square) or QR (tall) inverse of a certified full-rank matrix.
+
+    Returns ``(inverse, info)``, or None when the matrix is wide or the
+    factorization cannot certify full rank at `rtol`.
+    """
+    rows, cols = a.shape
+    if rows < cols or cols == 0:
+        return None
+    try:
+        if rows == cols:
+            x, kind = np.linalg.inv(a), "lu"
+        else:
+            q, r = np.linalg.qr(a)
+            np.conjugate(q, out=q)      # Q^H as a view, without a copy
+            x, kind = np.linalg.solve(r, q.T), "qr"
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        upper, inv_upper = _norm_1_inf(a), _norm_1_inf(x)
+        kappa = upper * inv_upper
+    if not np.isfinite(kappa) or kappa * rtol >= 1.0:
+        return None
+    return x, PinvInfo(rank=cols, sigma_max=upper,
+                       sigma_min_kept=1.0 / inv_upper, factorization=kind)
+
+
+def _svd_pinv(a: np.ndarray, rtol: float):
+    """Truncated-SVD pseudo-inverse: the general path and the test oracle."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise NumericalError("zero matrix has no retained spectrum")

@@ -14,6 +14,11 @@ scattered Fourier data f_hat(lambda_n):
 * ftcg:            tau   = Omega C f_hat with C the pseudo-inverse of
                    the band-masked square system T = Psi Omega.
 
+B and C come from `numerics.pseudo_inverse`: a QR inverse of Psi and an
+LU inverse of the masked T where that certifies full rank at rtol, the
+truncated SVD where rank is in doubt.  `meta["psi_pinv"]` and
+`meta["c_pinv"]` record which factorization ran.
+
 Matrix conventions (P raster points, Q modes, row-major flattening of
 the 2D mode lattice):
 
@@ -240,6 +245,11 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
             raise ConfigError(f"unknown method {m!r}")
     if window.dim != raster.dim:
         raise ConfigError("window/raster dimension mismatch")
+    if "ftcg" in methods:
+        if band is None:
+            band = default_band(len(raster))
+        if not 1 <= band <= len(raster):
+            raise ConfigError(f"band r={band} outside [1, {len(raster)}]")
     modes = _axis_modes(raster, modes)
     meta = dict(meta or {})
     t0 = time.perf_counter()
@@ -282,10 +292,6 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["psi_pinv"] = info
         meta["kappa_psi"] = info.kappa
     if "ftcg" in methods:
-        if band is None:
-            band = default_band(len(raster))
-        if not 1 <= band <= len(raster):
-            raise ConfigError(f"band r={band} outside [1, {len(raster)}]")
         t1 = time.perf_counter()
         tmat = psi @ omega
         cmat, cinfo = pseudo_inverse(band_mask(tmat, band), rtol)

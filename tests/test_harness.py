@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, error_maps,
-                    preset_config, psnr, run_experiment, run_sweep)
+                    harness, preset_config, psnr, run_experiment, run_sweep)
 from gridfr.harness import rsweep_config, scene_from_config, sweep_config
 
 
@@ -130,6 +130,43 @@ def test_sweep_table_shape(tmp_path):
     assert all(len(row) == 4 for row in res["table"].values())
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5   # comment + header + 3 method rows
+
+
+# run_sweep tables computed with the SVD pseudo-inverse throughout; the
+# LU/QR inverses agree with it to rounding
+SWEEP_TABLES = {
+    "N": {"cg": [0.4271027687167723, 0.2695411916199673,
+                 0.4163095774097778, 0.351756645619003],
+          "frame": [0.03061712488439605, 0.0228387832298315,
+                    0.015682259399713166, 0.014003263190469078],
+          "ftcg": [1.8013069432115436, 0.13371572220472652,
+                   0.07051298214614463, 0.08661138299722966]},
+    "r": {"ftcg": [0.19070525714357175, 0.13316893639249078,
+                   0.0838803484100202, 0.0018565098094616476]},
+}
+
+
+@pytest.mark.parametrize("axis", ["N", "r"])
+def test_sweep_reference_computed_once(monkeypatch, axis):
+    calls = []
+    fresh = harness.reference_image
+
+    def counting(*args):
+        calls.append(args)
+        return fresh(*args)
+
+    monkeypatch.setattr(harness, "reference_image", counting)
+    harness._reference.cache_clear()
+    table = run_sweep(axis)["table"]
+    # every sweep point shares scene, window, mode box and grid
+    assert len(calls) == 1
+    for m, row in SWEEP_TABLES[axis].items():
+        np.testing.assert_allclose(table[m], row, rtol=1e-9, atol=0)
+    # without the cache every point computes its own, with the same result
+    monkeypatch.setattr(harness, "_reference", harness._reference.__wrapped__)
+    assert run_sweep(axis)["table"] == table
+    seeds = harness.PRESET_SEEDS["sweep-1d" if axis == "N" else "rsweep-1d"]
+    assert len(calls) == 1 + 4 * len(seeds)
 
 
 def test_sweep_bad_axis():

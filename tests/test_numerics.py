@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfr import (ConfigError, NumericalError, band_kept_count,
                     band_kept_fraction, band_mask, condition_number,
                     default_band, density_weights, jittered_grid,
                     pseudo_inverse)
+from gridfr.numerics import _svd_pinv, default_rtol
 from gridfr.raster import Raster
 
 
@@ -47,6 +50,45 @@ def test_moore_penrose_identities_50_random():
 def test_pinv_zero_matrix():
     with pytest.raises(NumericalError):
         pseudo_inverse(np.zeros((3, 3)))
+
+
+def _orthonormal(rng, rows, cols):
+    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.integers(1, 48), extra=st.integers(0, 16),
+       log_kappa=st.floats(0.0, 6.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_pinv_factored_matches_svd_oracle(cols, extra, log_kappa, log_scale,
+                                          seed):
+    # a = U diag(s) V^H with known spectrum, kappa = 10**log_kappa <= 1e6;
+    # sqrt(rows*cols)*kappa*rtol < 1 here, so LU/QR must certify full rank
+    rng = np.random.default_rng(seed)
+    rows = cols + extra
+    s = 10.0 ** log_scale * np.logspace(0.0, -log_kappa, cols)
+    a = (_orthonormal(rng, rows, cols) * s) @ _orthonormal(rng, cols, cols).conj().T
+    p, info = pseudo_inverse(a)
+    oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
+    kappa = 10.0 ** log_kappa
+    assert info.factorization == ("lu" if rows == cols else "qr")
+    assert info.rank == oinfo.rank == cols
+    assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
+    # the reported extremes bound the exact singular values (to rounding)
+    assert info.sigma_max >= oinfo.sigma_max * (1 - 1e-12)
+    assert info.sigma_min_kept <= oinfo.sigma_min_kept * (1 + 1e-9)
+    assert (oinfo.kappa * (1 - 1e-9) <= info.kappa
+            <= np.sqrt(rows * cols) * oinfo.kappa * (1 + 1e-9))
+
+
+def test_pinv_factorization_recorded():
+    assert pseudo_inverse(np.eye(3))[1].factorization == "lu"
+    assert pseudo_inverse(np.ones((3, 1)))[1].factorization == "qr"
+    # singular square, wide and ill-conditioned systems take the SVD
+    assert pseudo_inverse(np.diag([1.0, 0.0]))[1].factorization == "svd"
+    assert pseudo_inverse(np.ones((1, 3)))[1].factorization == "svd"
+    assert pseudo_inverse(np.diag([1.0, 1e-12]))[1].factorization == "svd"
 
 
 def test_band_mask_diagonal_only():

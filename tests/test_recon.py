@@ -8,6 +8,9 @@ from gridfr import (ConfigError, admissibility_slope, analytic_coeffs,
                     reconstruct,
                     reference_image, scene_image, sine_scene, synthesize,
                     trig_poly_scene, windowed_coefficients)
+from gridfr import recon
+from gridfr.harness import preset_config, raster_from_config
+from gridfr.numerics import _svd_pinv, band_mask
 from gridfr.raster import Raster
 from gridfr.recon import psi_entry_quad
 from gridfr.sampling import SampleSet
@@ -314,3 +317,43 @@ def test_plan_arrays_read_only():
         plan.psi[0, 0] = 0.0
     for name in ("omega", "dvec", "bmat", "tmat", "cmat"):
         assert not getattr(plan, name).flags.writeable
+
+
+def test_band_checked_before_any_assembly(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("Psi built before the band was checked")
+
+    monkeypatch.setattr(recon, "build_psi", fail)
+    win = gaussian_window(0.2, 1e-12, dim=2)
+    raster = jittered_grid((3, 3), 0.06, 101)
+    for band in (0, len(raster) + 1):
+        with pytest.raises(ConfigError):
+            build_plan(raster, win, (2, 2), band=band)
+
+
+def _preset_plan(name, seed, methods):
+    cfg = preset_config(name, seed)
+    raster, _ = raster_from_config(cfg.raster, seed)
+    win = gaussian_window(cfg.window["sigma"], cfg.window["trunc_eps"], dim=2)
+    return build_plan(raster, win, cfg.modes, methods, band=cfg.band,
+                      rtol=cfg.rtol)
+
+
+@pytest.mark.parametrize("name, seed, methods, paths", [
+    ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "qr", "c_pinv": "lu"}),
+    ("noisy-grid", 102, ("ftcg",), {"c_pinv": "svd"}),
+    ("sas-wedge", 101, ("frame",), {"psi_pinv": "svd"}),
+])
+def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
+    # certified full-rank systems take LU/QR, rank-deficient ones the SVD
+    plan = _preset_plan(name, seed, methods)
+    for key, kind in paths.items():
+        if key == "psi_pinv":
+            got, system = plan.bmat, plan.psi
+        else:
+            got, system = plan.cmat, band_mask(plan.tmat, plan.band)
+        info = plan.meta[key]
+        assert info.factorization == kind
+        oracle, oinfo = _svd_pinv(system, plan.rtol)
+        assert info.rank == oinfo.rank
+        assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
