@@ -6,15 +6,15 @@ factorization is one of numpy's LAPACK bindings (LU, QR or SVD).  The
 pseudo-inverse treats singular values below ``rtol * sigma_max`` as
 zero; the default threshold is ``1e-10 * max(rows, cols)``.  A square
 or tall matrix whose LU or QR inverse certifies that no singular value
-falls below the threshold is inverted by that factorization; any other
-matrix takes the truncated SVD.  Every factorization reports its
-retained rank and condition number so ill-conditioning is visible
-instead of silent.
+falls below the threshold is inverted by that factorization.  A square
+matrix that drops a few singular values well below the kept ones is
+inverted by LU after deflating them; any other matrix takes the
+truncated SVD.  Every factorization reports its retained rank and
+condition number so ill-conditioning is visible instead of silent.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +31,13 @@ def default_rtol(shape) -> float:
 class PinvInfo:
     """Spectrum bookkeeping for one truncated pseudo-inversion.
 
-    `factorization` names the path that ran: "svd", "lu" or "qr".  After
-    an SVD, `sigma_max` and `sigma_min_kept` are the exact largest and
-    smallest retained singular values.  After LU or QR they are an upper
-    and a lower bound on the extreme singular values, sqrt(|A|_1 |A|_inf)
-    and 1/sqrt(|X|_1 |X|_inf) for the inverse X, so `kappa` is an upper
+    `factorization` names the path that ran: "svd", "lu", "qr" or
+    "deflated-lu" (singular values without vectors, then one LU; see
+    `pseudo_inverse`).  After "svd" and "deflated-lu", `sigma_max` and
+    `sigma_min_kept` are the exact largest and smallest retained
+    singular values.  After "lu" or "qr" they are an upper and a lower
+    bound on the extreme singular values, sqrt(|A|_1 |A|_inf) and
+    1/sqrt(|X|_1 |X|_inf) for the inverse X, so `kappa` is an upper
     bound on the 2-norm condition number (at most sqrt(rows*cols) times
     it).
     """
@@ -53,14 +55,18 @@ class PinvInfo:
 def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     """Moore-Penrose pseudo-inverse with relative truncation.
 
-    Returns ``(pinv, info)``.  A square matrix is first inverted by LU
-    and a tall one by QR (X = R^-1 Q^H).  The result is accepted when the
-    condition bound sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) >= kappa_2(A) shows
-    every singular value lies above rtol*sigma_max, so the SVD would keep
-    them all.  Otherwise (an exactly singular factor, a bound too large,
-    a wide matrix) the truncated SVD runs: singular values below
-    rtol*sigma_max are zeroed, and an identically zero matrix is a
-    NumericalError (rank collapse).
+    Returns ``(pinv, info)``.  Singular values below rtol*sigma_max are
+    treated as zero.  A square matrix is first inverted by LU and a tall
+    one by QR (X = R^-1 Q^H).  The result is accepted when the condition
+    bound sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) >= kappa_2(A) shows every
+    singular value lies above the threshold.  A square matrix whose
+    bound does not certify full rank has its singular values computed
+    (without vectors); when the few it drops lie well apart from the
+    rest, it is deflated on their singular subspaces and inverted by LU
+    (see `_deflated_pinv`).  Any other matrix (an exactly singular
+    factor, a wide matrix, a dropped spectrum that is large or close to
+    the kept one) takes the truncated SVD.  An identically zero matrix
+    is a NumericalError (rank collapse).
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -69,31 +75,27 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
         raise ConfigError("non-finite matrix entries")
     if rtol is None:
         rtol = default_rtol(a.shape)
-    # a failed attempt's arrays are freed on return, before the SVD runs
     factored = _factored_inverse(a, rtol)
-    if factored is not None:
-        return factored
-    _release_free_heap()
-    return _svd_pinv(a, rtol)
-
-
-def _release_free_heap() -> None:
-    """Return memory the C heap holds but no longer uses to the OS.
-
-    After numpy frees a LAPACK buffer of tens of MB, glibc raises its
-    mmap threshold and serves later arrays of that size from its heap,
-    which it keeps when they are freed.  Without this call the memory of
-    a failed LU/QR attempt stays resident under the SVD's workspace (the
-    noisy-grid seed-102 plan peaked 9 MB above the SVD-only build).
-    Where the C library has no malloc_trim, nothing happens.
-    """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    trim(0)
+    if factored is None:
+        return _svd_pinv(a, rtol)
+    x, info = factored
+    if info is not None:
+        return x, info
+    # x is an LU inverse the bound could not certify; it is dropped
+    # before the next n x n work array is made
+    del factored
+    split = _trailing_subspaces(a, x, rtol)
+    if split is None:
+        del x
+        return _svd_pinv(a, rtol)
+    s, rank, v, u = split
+    info = PinvInfo(rank=rank, sigma_max=float(s[0]),
+                    sigma_min_kept=float(s[rank - 1]),
+                    factorization="deflated-lu")
+    if v is None:       # the spectrum shows full rank: x is the inverse
+        return x, info
+    del x
+    return _deflated_pinv(a, s[0], v, u), info
 
 
 def _norm_1_inf(a: np.ndarray) -> float:
@@ -103,10 +105,13 @@ def _norm_1_inf(a: np.ndarray) -> float:
 
 
 def _factored_inverse(a: np.ndarray, rtol: float):
-    """LU (square) or QR (tall) inverse of a certified full-rank matrix.
+    """LU (square) or QR (tall) inverse, certified full rank or not.
 
-    Returns ``(inverse, info)``, or None when the matrix is wide or the
-    factorization cannot certify full rank at `rtol`.
+    Returns ``(inverse, info)`` for a certified inverse and
+    ``(inverse, None)`` for an LU inverse whose condition bound cannot
+    certify full rank at `rtol` (`_trailing_subspaces` may still use
+    it).  Returns None for a wide matrix, an exactly singular factor, a
+    non-finite inverse or an uncertified QR inverse.
     """
     rows, cols = a.shape
     if rows < cols or cols == 0:
@@ -123,10 +128,85 @@ def _factored_inverse(a: np.ndarray, rtol: float):
     with np.errstate(all="ignore"):
         upper, inv_upper = _norm_1_inf(a), _norm_1_inf(x)
         kappa = upper * inv_upper
-    if not np.isfinite(kappa) or kappa * rtol >= 1.0:
+    if not np.isfinite(kappa):
         return None
+    if kappa * rtol >= 1.0:
+        return (x, None) if kind == "lu" else None
     return x, PinvInfo(rank=cols, sigma_max=upper,
                        sigma_min_kept=1.0 / inv_upper, factorization=kind)
+
+
+# The subspace iteration below needs the dropped singular values to sit
+# this far below the smallest kept one; each step then shrinks the kept
+# directions' share of the iterate by its square.
+_DEFLATION_GAP = 1e-3
+_DEFLATION_STEPS = 4
+
+
+def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float):
+    """Singular spectrum of square `a` and its dropped singular subspaces.
+
+    `x` is an LU inverse of `a`.  Returns ``(s, rank, v, u)``: all
+    singular values, the rank at `rtol`, and orthonormal bases of the
+    right and left singular subspaces of the d = n - rank dropped
+    values (both None when d = 0).  Returns None when the SVD should
+    decide instead: no value kept, more than n/8 dropped (the
+    iteration's blocks would approach the matrix's own size), a gap
+    narrower than _DEFLATION_GAP, or no convergence in
+    _DEFLATION_STEPS steps.
+
+    The dropped subspaces are the dominant ones of x = V S^-1 U^H.
+    Subspace iteration on x x^H finds V_d; U_d spans x^H V_d.  The
+    iteration stops when the part of A V_d outside span(U_d) is below
+    100 n eps sigma_max.  Deflating with that residual moves the result
+    by at most about 100 n eps kappa relative to the truncated SVD's,
+    against its own eps kappa.
+    """
+    n = a.shape[0]
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[0] == 0.0:
+        return None
+    rank = int(np.count_nonzero(s > rtol * s[0]))
+    dropped = n - rank
+    if rank == 0 or 8 * dropped > n:
+        return None
+    if dropped == 0:
+        return s, rank, None, None
+    if s[rank] > _DEFLATION_GAP * s[rank - 1]:
+        return None
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(n)))
+    v = rng.normal(size=(n, dropped))
+    if np.iscomplexobj(a):
+        v = v + 1j * rng.normal(size=(n, dropped))
+    tol = 100 * n * np.finfo(float).eps * s[0]
+    for _ in range(_DEFLATION_STEPS):
+        v = np.linalg.qr(x @ (x.conj().T @ v))[0]
+        u = np.linalg.qr(x.conj().T @ v)[0]
+        av = a @ v
+        if np.linalg.norm(av - u @ (u.conj().T @ av)) <= tol:
+            return s, rank, v, u
+    return None
+
+
+def _deflated_pinv(a: np.ndarray, scale: float, v: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """Truncated pseudo-inverse of square `a` from one LU inverse.
+
+    `v` and `u` span the right and left singular subspaces of the
+    dropped values: A = U_k S_k V_k^H + U_d S_d V_d^H.  The matrix
+    B = (I - U_d U_d^H) A (I - V_d V_d^H) + scale U_d V_d^H has singular
+    values S_k and `scale` (sigma_max here), so it is as well conditioned
+    as the kept spectrum, and A_k^+ = B^-1 - V_d U_d^H / scale.  The work
+    arrays are n x n (B, then its inverse) instead of the SVD's five to
+    seven.
+    """
+    b = a.astype(np.result_type(a, v))
+    b -= u @ (u.conj().T @ b)
+    b -= (b @ v - scale * u) @ v.conj().T
+    pinv = np.linalg.inv(b)
+    del b
+    pinv -= (v / scale) @ u.conj().T
+    return pinv
 
 
 def _svd_pinv(a: np.ndarray, rtol: float):

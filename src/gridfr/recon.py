@@ -15,9 +15,10 @@ scattered Fourier data f_hat(lambda_n):
                    the band-masked square system T = Psi Omega.
 
 B and C come from `numerics.pseudo_inverse`: a QR inverse of Psi and an
-LU inverse of the masked T where that certifies full rank at rtol, the
-truncated SVD where rank is in doubt.  `meta["psi_pinv"]` and
-`meta["c_pinv"]` record which factorization ran.
+LU inverse of the masked T where that certifies full rank at rtol, an
+LU inverse after deflating a few well-separated dropped singular values,
+the truncated SVD otherwise.  `meta["psi_pinv"]` and `meta["c_pinv"]`
+record which factorization ran.
 
 Matrix conventions (P raster points, Q modes, row-major flattening of
 the 2D mode lattice):
@@ -285,12 +286,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         t1 = time.perf_counter()
         dvec = density_weights(raster)
         timings["density"] = time.perf_counter() - t1
-    if "frame" in methods:
-        t1 = time.perf_counter()
-        bmat, info = pseudo_inverse(psi, rtol)
-        timings["frame_pinv"] = time.perf_counter() - t1
-        meta["psi_pinv"] = info
-        meta["kappa_psi"] = info.kappa
+    # C before B: the masked T's inversion needs the most memory, so it
+    # runs while B is not yet held
     if "ftcg" in methods:
         t1 = time.perf_counter()
         tmat = psi @ omega
@@ -302,6 +299,12 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["kappa_masked_t"] = cinfo.kappa
         meta["kappa_c"] = cinfo.kappa
         meta["kept_fraction"] = band_kept_fraction(len(raster), band)
+    if "frame" in methods:
+        t1 = time.perf_counter()
+        bmat, info = pseudo_inverse(psi, rtol)
+        timings["frame_pinv"] = time.perf_counter() - t1
+        meta["psi_pinv"] = info
+        meta["kappa_psi"] = info.kappa
     timings["total"] = time.perf_counter() - t0
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes

@@ -7,6 +7,7 @@ from gridfr import (ConfigError, NumericalError, band_kept_count,
                     band_kept_fraction, band_mask, condition_number,
                     default_band, density_weights, jittered_grid,
                     pseudo_inverse)
+from gridfr import numerics
 from gridfr.numerics import _svd_pinv, default_rtol
 from gridfr.raster import Raster
 
@@ -89,6 +90,55 @@ def test_pinv_factorization_recorded():
     assert pseudo_inverse(np.diag([1.0, 0.0]))[1].factorization == "svd"
     assert pseudo_inverse(np.ones((1, 3)))[1].factorization == "svd"
     assert pseudo_inverse(np.diag([1.0, 1e-12]))[1].factorization == "svd"
+
+
+@settings(max_examples=60, deadline=None)
+@given(kept=st.integers(8, 48), log_kappa=st.floats(0.0, 6.0),
+       log_gap=st.floats(3.0, 12.0), log_scale=st.floats(-3.0, 3.0),
+       data=st.data())
+def test_pinv_deflated_matches_svd_oracle(kept, log_kappa, log_gap,
+                                          log_scale, data):
+    # a few singular values at least 1e3 below the kept ones and below
+    # the threshold: deflated LU, never the full SVD
+    dropped = data.draw(st.integers(1, kept // 7))    # 8 * dropped <= n
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = kept + dropped
+    s = np.logspace(0.0, -log_kappa, kept)
+    tail = s[-1] * min(10.0 ** -log_gap, 1e-10) * rng.uniform(0.0, 1.0, dropped)
+    s = 10.0 ** log_scale * np.concatenate([s, tail])
+    a = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).conj().T
+    p, info = pseudo_inverse(a)
+    oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
+    kappa = 10.0 ** log_kappa
+    assert info.factorization == "deflated-lu"
+    assert info.rank == oinfo.rank == kept
+    assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
+    np.testing.assert_allclose([info.sigma_max, info.sigma_min_kept],
+                               [oinfo.sigma_max, oinfo.sigma_min_kept],
+                               rtol=1e-12)
+
+
+def test_pinv_deflated_takes_no_full_svd(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("full SVD taken")
+
+    monkeypatch.setattr(numerics, "_svd_pinv", fail)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(6)))
+    # real, one value far below the threshold: the result stays real
+    s = np.concatenate([np.logspace(0.0, -3.0, 39), [1e-14]])
+    a = (np.linalg.qr(rng.normal(size=(40, 40)))[0] * s) @ \
+        np.linalg.qr(rng.normal(size=(40, 40)))[0].T
+    p, info = pseudo_inverse(a)
+    assert p.dtype == np.float64 and info.rank == 39
+    # full rank, but too ill-conditioned for the bound to certify it:
+    # the singular values confirm the rank and the LU inverse is kept
+    b = (_orthonormal(rng, 40, 40) * np.logspace(0.0, -8.0, 40)) @ \
+        _orthonormal(rng, 40, 40).conj().T
+    q, qinfo = pseudo_inverse(b)
+    assert qinfo.factorization == "deflated-lu" and qinfo.rank == 40
+    np.testing.assert_allclose(qinfo.kappa, 1e8, rtol=1e-6)
+    assert np.linalg.norm(q @ b - np.eye(40)) < 1e-6
 
 
 def test_band_mask_diagonal_only():

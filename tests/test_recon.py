@@ -341,11 +341,12 @@ def _preset_plan(name, seed, methods):
 
 @pytest.mark.parametrize("name, seed, methods, paths", [
     ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "qr", "c_pinv": "lu"}),
-    ("noisy-grid", 102, ("ftcg",), {"c_pinv": "svd"}),
+    ("noisy-grid", 102, ("ftcg",), {"c_pinv": "deflated-lu"}),
     ("sas-wedge", 101, ("frame",), {"psi_pinv": "svd"}),
 ])
 def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
-    # certified full-rank systems take LU/QR, rank-deficient ones the SVD
+    # certified full-rank systems take LU/QR; seed 102's T drops one value
+    # far below the rest and is deflated; sas-wedge's Psi needs the SVD
     plan = _preset_plan(name, seed, methods)
     for key, kind in paths.items():
         if key == "psi_pinv":
