@@ -8,6 +8,7 @@ failure (rank collapse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
 from .harness import (ExperimentConfig, PRESET_SEEDS, error_maps,
-                      l2_relative, linf_error, preset_config, psnr,
-                      run_experiment, run_preset, run_sweep)
+                      l2_relative, linf_error, psnr, run_experiment,
+                      run_preset, run_sweep)
 from .raster import (asterisk, jittered_grid, load_raster, rescale_to_box,
                      sas_wedge, save_raster)
 from .recon import (build_plan, load_image_csv, reconstruct, save_image_csv,
@@ -120,39 +121,40 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _override(config: ExperimentConfig, args) -> ExperimentConfig:
-    """Apply the --band/--snr/--method flags of `run` to a config."""
+def _overrides(args) -> dict:
+    """The config fields set by the --band/--snr/--method flags of `run`."""
+    out = {}
     if args.band is not None:
-        config.band = args.band
+        out["band"] = args.band
     if args.snr is not None:
-        config.snr_db = args.snr
+        out["snr_db"] = args.snr
     if args.method:
-        config.methods = tuple(args.method)
-    return config
+        out["methods"] = tuple(args.method)
+    return out
 
 
 def _cmd_run(args) -> int:
+    overrides = _overrides(args)
     if args.config:
         with open(args.config) as fh:
             config = ExperimentConfig.from_json(fh.read())
         if args.seed is not None:
             config.seed = args.seed
-        reports = run_experiment(_override(config, args), args.out)
+        reports = run_experiment(dataclasses.replace(config, **overrides),
+                                 args.out)
         _print_reports(reports)
         return 0
     if not args.preset:
         raise ConfigError("run needs --preset or --config")
     seeds = [args.seed] if args.seed is not None \
         else list(PRESET_SEEDS[args.preset])
-    if args.band is not None or args.snr is not None or args.method:
-        for s in seeds:
-            c = _override(preset_config(args.preset, s), args)
-            sub = None if args.out is None else os.path.join(args.out, f"seed{s}")
-            reports = run_experiment(c, sub)
+    result = run_preset(args.preset, seeds, args.out, overrides)
+    if overrides:
+        for i, s in enumerate(seeds):
             print(f"seed {s}:")
-            _print_reports(reports)
+            _print_reports({m: reps[i]
+                            for m, reps in result["per_seed"].items()})
         return 0
-    result = run_preset(args.preset, seeds, args.out)
     print(f"preset {args.preset}, median over seeds {seeds}:")
     for method, med in result["median"].items():
         extras = ""

@@ -39,12 +39,13 @@ class PinvInfo:
     bound on the extreme singular values, sqrt(|A|_1 |A|_inf) and
     1/sqrt(|X|_1 |X|_inf) for the inverse X, so `kappa` is an upper
     bound on the 2-norm condition number (at most sqrt(rows*cols) times
-    it).
+    it).  `rtol` is the relative threshold the inversion applied.
     """
 
     rank: int
     sigma_max: float
     sigma_min_kept: float
+    rtol: float
     factorization: str = "svd"
 
     @property
@@ -66,7 +67,7 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     (see `_deflated_pinv`).  Any other matrix (an exactly singular
     factor, a wide matrix, a dropped spectrum that is large or close to
     the kept one) takes the truncated SVD.  An identically zero matrix
-    is a NumericalError (rank collapse).
+    (rank collapse) and an SVD that does not converge are NumericalErrors.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -90,7 +91,7 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
         return _svd_pinv(a, rtol)
     s, rank, v, u = split
     info = PinvInfo(rank=rank, sigma_max=float(s[0]),
-                    sigma_min_kept=float(s[rank - 1]),
+                    sigma_min_kept=float(s[rank - 1]), rtol=rtol,
                     factorization="deflated-lu")
     if v is None:       # the spectrum shows full rank: x is the inverse
         return x, info
@@ -133,7 +134,8 @@ def _factored_inverse(a: np.ndarray, rtol: float):
     if kappa * rtol >= 1.0:
         return (x, None) if kind == "lu" else None
     return x, PinvInfo(rank=cols, sigma_max=upper,
-                       sigma_min_kept=1.0 / inv_upper, factorization=kind)
+                       sigma_min_kept=1.0 / inv_upper, rtol=rtol,
+                       factorization=kind)
 
 
 # The subspace iteration below needs the dropped singular values to sit
@@ -163,7 +165,7 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float):
     against its own eps kappa.
     """
     n = a.shape[0]
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svd(a, compute_uv=False)
     if s[0] == 0.0:
         return None
     rank = int(np.count_nonzero(s > rtol * s[0]))
@@ -211,7 +213,7 @@ def _deflated_pinv(a: np.ndarray, scale: float, v: np.ndarray,
 
 def _svd_pinv(a: np.ndarray, rtol: float):
     """Truncated-SVD pseudo-inverse: the general path and the test oracle."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = _svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise NumericalError("zero matrix has no retained spectrum")
     keep = s > rtol * s[0]
@@ -220,7 +222,16 @@ def _svd_pinv(a: np.ndarray, rtol: float):
         raise NumericalError("rank collapse: no singular value above threshold")
     pinv = (vh[:rank].conj().T * (1.0 / s[:rank])) @ u[:, :rank].conj().T
     return pinv, PinvInfo(rank=rank, sigma_max=float(s[0]),
-                          sigma_min_kept=float(s[rank - 1]))
+                          sigma_min_kept=float(s[rank - 1]), rtol=rtol)
+
+
+def _svd(a: np.ndarray, **kwargs):
+    """numpy's SVD, with LAPACK's non-convergence as a NumericalError."""
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix "
+                             f"failed: {exc}") from exc
 
 
 def band_mask(a: np.ndarray, r: int) -> np.ndarray:
@@ -265,11 +276,11 @@ def condition_number(a: np.ndarray, rtol: float | None = None):
         raise NumericalError("condition number of a zero matrix")
     if rtol is None:
         rtol = default_rtol(a.shape)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svd(a, compute_uv=False)
     keep = s > rtol * s[0]
     rank = int(np.count_nonzero(keep))
     info = PinvInfo(rank=rank, sigma_max=float(s[0]),
-                    sigma_min_kept=float(s[rank - 1]))
+                    sigma_min_kept=float(s[rank - 1]), rtol=rtol)
     return info.kappa, info
 
 
@@ -318,6 +329,94 @@ def density_weights(raster: Raster) -> np.ndarray:
     return 1.0 / counts[inverse]
 
 
+# values formatted per block by save_magnitude_csv (a few MB of work
+# arrays); a scaled mantissa within _TIE_MARGIN of a rounding tie goes to
+# Python's formatter, which rounds the exact binary value
+_CSV_BLOCK = 1 << 16
+_TIE_MARGIN = 1e-6
+# 10^k for k in [_POW10_MIN, 110], each correctly rounded (Python's int
+# to float conversion and int / int division round correctly)
+_POW10_MIN = -93
+_POW10 = np.array([10 ** k if k >= 0 else 1 / 10 ** -k
+                   for k in range(_POW10_MIN, 111)], dtype=float)
+
+
 def save_magnitude_csv(a: np.ndarray, path) -> None:
-    """Dump |entries| row per matrix row (Fig.-style intensity source)."""
-    np.savetxt(path, np.abs(np.asarray(a)), delimiter=",", fmt="%.8e")
+    """Dump |entries| row per matrix row (Fig.-style intensity source).
+
+    The file is byte for byte ``np.savetxt(path, np.abs(a), delimiter=",",
+    fmt="%.8e")``: each value is its correctly rounded ``%.8e`` string.
+    Blocks of rows are formatted in numpy; a row holding a value whose
+    digits numpy cannot settle exactly (see `_format_e8`) is formatted
+    by Python's ``%`` operator, as savetxt does, and spliced in.
+    """
+    mag = np.abs(np.asarray(a))
+    if mag.ndim != 2 or mag.size == 0 or mag.dtype.kind != "f":
+        np.savetxt(path, mag, delimiter=",", fmt="%.8e")
+        return
+    rows, cols = mag.shape
+    row_fmt = ",".join(["%.8e"] * cols) + "\n"
+    step = max(1, _CSV_BLOCK // cols)
+    with open(path, "wb") as fh:
+        for lo in range(0, rows, step):
+            block = mag[lo:lo + step]
+            text, doubtful = _format_e8(block.astype(np.float64))
+            start = 0
+            for r in np.flatnonzero(doubtful):
+                fh.write(text[start:r])
+                fh.write((row_fmt % tuple(block[r])).encode("latin1"))
+                start = r + 1
+            fh.write(text[start:])
+
+
+def _format_e8(v: np.ndarray):
+    """``%.8e`` text of a block of non-negative values, 15 bytes a value.
+
+    Returns ``(text, doubtful)``: a uint8 array with one CSV line per
+    row of `v`, and a per-row flag for rows whose text must come from
+    Python instead.  A value is in doubt when it is not finite, its
+    exponent has three digits, its scaled mantissa y = v 10^(8-e) lies
+    within _TIE_MARGIN of a rounding tie (y carries at most about 2e-7
+    of rounding error, from one correctly rounded power of ten and one
+    product), or it rounds up into the next decade.  The exponent e is
+    floor(log10 v), moved by one where y falls outside [1e8, 1e9).
+    """
+    with np.errstate(all="ignore"):
+        zero = v == 0.0
+        e = np.floor(np.log10(v))
+        e[zero] = 0.0
+        bad = ~(np.abs(e) < 100.0)          # also NaN and inf
+        e[bad] = 0.0
+        y = _scaled(v, e)
+        off = np.flatnonzero(((y < 1e8) & ~zero) | (y >= 1e9))
+        if off.size:
+            e.flat[off] += np.where(y.flat[off] >= 1e9, 1.0, -1.0)
+            y.flat[off] = _scaled(v.flat[off], e.flat[off])
+            bad |= ~(np.abs(e) < 100.0)
+        n = np.rint(y)
+        doubt = (bad | (np.abs(y - np.floor(y) - 0.5) < _TIE_MARGIN)
+                 | (n >= 1e9) | ((n < 1e8) & ~zero))
+    n[doubt] = 0.0
+    e[doubt] = 0.0
+    rows, cols = v.shape
+    out = np.empty((rows, cols, 15), np.uint8)
+    digits = n.astype(np.int32)
+    for pos in (9, 8, 7, 6, 5, 4, 3, 2, 0):     # "d.dddddddde+xx,"
+        digits, d = np.divmod(digits, 10)
+        out[..., pos] = d
+        out[..., pos] += ord("0")
+    exp = e.astype(np.int32)
+    out[..., 1] = ord(".")
+    out[..., 10] = ord("e")
+    out[..., 11] = np.where(exp < 0, ord("-"), ord("+"))
+    exp = np.abs(exp)
+    out[..., 12] = exp // 10 + ord("0")
+    out[..., 13] = exp % 10 + ord("0")
+    out[..., 14] = ord(",")
+    out[:, -1, 14] = ord("\n")
+    return out.reshape(rows, cols * 15), doubt.any(axis=1)
+
+
+def _scaled(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """v * 10^(8-e) for exponents |e| <= 100."""
+    return v * _POW10[(8 - e).astype(np.intp) - _POW10_MIN]

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numerics import (PinvInfo, band_kept_fraction, band_mask, default_band,
-                       default_rtol, density_weights, pseudo_inverse)
+                       density_weights, pseudo_inverse)
 from .raster import Raster
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
@@ -63,7 +63,9 @@ class ReconPlan:
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
-    `meta` carries build timings (seconds per stage: psi, drift, omega,
+    `rtol` is the threshold requested of both pseudo-inverses; None lets
+    each use `default_rtol` of its own shape, and the applied values are
+    in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta` carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
     their enclosing total), retained-rank info, any raster rescale
     transform, and quadrature self-check drift.
@@ -312,11 +314,9 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         if arr is not None:
             arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
-                     methods=methods, band=band,
-                     rtol=rtol if rtol is not None else default_rtol(
-                         psi.shape if psi is not None else (len(raster),) * 2),
-                     psi=psi, omega=omega, dvec=dvec, bmat=bmat,
-                     tmat=tmat, cmat=cmat, meta=meta)
+                     methods=methods, band=band, rtol=rtol, psi=psi,
+                     omega=omega, dvec=dvec, bmat=bmat, tmat=tmat, cmat=cmat,
+                     meta=meta)
 
 
 # ------------------------------------------------------------ coefficients

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gridfr import harness
 from gridfr.cli import main
 
 
@@ -73,6 +74,34 @@ def test_run_config_file(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
+
+
+def test_run_preset_with_override_builds_once(monkeypatch, capsys):
+    built = []
+    fresh = harness.build_plan
+
+    def counting(*args, **kwargs):
+        built.append(args[0].raster_id)
+        return fresh(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_plan", counting)
+    assert main(["run", "--preset", "asterisk", "--snr", "30"]) == 0
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    seeds = harness.PRESET_SEEDS["asterisk"]
+    assert [ln for ln in out.splitlines() if ln.startswith("seed")] == \
+        [f"seed {s}:" for s in seeds]
+    assert out.count("psnr") == 3 * len(seeds)
+
+
+def test_svd_failure_exit_code(monkeypatch, capsys):
+    # asterisk's masked T is rank-deficient, so its inverse needs an SVD
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["run", "--preset", "asterisk", "--seed", "101"]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_run_requires_preset_or_config():

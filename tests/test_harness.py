@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, error_maps,
-                    harness, preset_config, psnr, run_experiment, run_sweep)
+                    harness, preset_config, psnr, run_experiment, run_preset,
+                    run_sweep)
 from gridfr.harness import rsweep_config, scene_from_config, sweep_config
 
 
@@ -184,3 +187,77 @@ def test_preset_configs_well_formed():
     # sweep point configs resolve too
     assert sweep_config(16, 1).band == math.ceil(math.log(33))
     assert rsweep_config(4, 1).modes == 16
+
+
+def _count_builds(monkeypatch):
+    built = []
+    fresh = harness.build_plan
+
+    def counting(*args, **kwargs):
+        built.append(args[0].raster_id)
+        return fresh(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_plan", counting)
+    return built
+
+
+@pytest.mark.parametrize("name, seeds, builds", [
+    ("asterisk", harness.PRESET_SEEDS["asterisk"], 1),
+    ("noisy-grid", (101, 102), 2),
+], ids=["asterisk", "noisy-grid"])
+def test_run_preset_builds_each_distinct_plan_once(monkeypatch, name, seeds,
+                                                   builds):
+    # the asterisk raster does not depend on the seed; noisy-grid's does
+    built = _count_builds(monkeypatch)
+    result = run_preset(name, seeds)
+    assert len(built) == len(set(built)) == builds
+    assert all(len(reps) == len(seeds) for reps in result["per_seed"].values())
+
+
+def test_run_preset_artifacts_match_run_experiment(tmp_path):
+    seeds = (101, 103, 105)
+    run_preset("asterisk", seeds, str(tmp_path / "preset"))
+    for i, seed in enumerate(seeds):
+        alone = tmp_path / "alone" / f"seed{seed}"
+        run_experiment(preset_config("asterisk", seed), str(alone))
+        shared = tmp_path / "preset" / f"seed{seed}"
+        names = sorted(os.listdir(alone))
+        assert sorted(os.listdir(shared)) == names
+        for fname in names:
+            if fname != "timings.json":
+                assert (shared / fname).read_bytes() == \
+                    (alone / fname).read_bytes(), fname
+        timings = json.loads((shared / "timings.json").read_text())
+        # only the first seed builds; the others say they reused its plan
+        assert all(("plan_reused" in t) == (i > 0) for t in timings.values())
+
+
+def test_run_preset_releases_previous_plan(monkeypatch):
+    # every seed of a 1D jittered grid has its own raster, so each builds;
+    # the plan before must be gone by then, and the last one on return
+    monkeypatch.setattr(harness, "preset_config",
+                        lambda name, seed: sweep_config(8, seed))
+    plans = []
+    fresh = harness.build_plan
+
+    def tracking(*args, **kwargs):
+        assert all(ref() is None for ref in plans)
+        plan = fresh(*args, **kwargs)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(harness, "build_plan", tracking)
+    run_preset("sweep", (11, 12, 13))
+    assert len(plans) == 3
+    assert all(ref() is None for ref in plans)
+
+
+def test_run_preset_overrides_reuse_plans(monkeypatch):
+    # noise changes the data, not the plan; each seed draws its own noise
+    built = _count_builds(monkeypatch)
+    result = run_preset("asterisk", (101, 102), overrides={"snr_db": 30.0})
+    assert len(built) == 1
+    cg = result["per_seed"]["cg"]
+    assert cg[0].psnr_db != cg[1].psnr_db
+    assert cg[0].psnr_db == run_experiment(dataclasses.replace(
+        preset_config("asterisk", 101), snr_db=30.0))["cg"].psnr_db

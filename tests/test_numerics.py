@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridfr import (ConfigError, NumericalError, band_kept_count,
@@ -8,7 +8,7 @@ from gridfr import (ConfigError, NumericalError, band_kept_count,
                     default_band, density_weights, jittered_grid,
                     pseudo_inverse)
 from gridfr import numerics
-from gridfr.numerics import _svd_pinv, default_rtol
+from gridfr.numerics import _svd_pinv, default_rtol, save_magnitude_csv
 from gridfr.raster import Raster
 
 
@@ -141,6 +141,27 @@ def test_pinv_deflated_takes_no_full_svd(monkeypatch):
     assert np.linalg.norm(q @ b - np.eye(40)) < 1e-6
 
 
+def test_pinv_records_applied_rtol():
+    assert pseudo_inverse(np.eye(3))[1].rtol == default_rtol((3, 3))
+    assert pseudo_inverse(np.ones((1, 4)))[1].rtol == default_rtol((1, 4))
+    assert pseudo_inverse(np.diag([1.0, 1e-12]), 1e-3)[1].rtol == 1e-3
+
+
+def test_svd_failure_is_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    # a wide matrix goes straight to the truncated SVD ...
+    with pytest.raises(NumericalError, match="did not converge"):
+        pseudo_inverse(np.ones((2, 5)))
+    # ... an uncertified square one first to its singular values
+    with pytest.raises(NumericalError, match="did not converge"):
+        pseudo_inverse(np.diag(np.r_[np.ones(15), 1e-12]))
+    with pytest.raises(NumericalError):
+        _svd_pinv(np.eye(3), 1e-10)
+
+
 def test_band_mask_diagonal_only():
     a = np.arange(16.0).reshape(4, 4)
     np.testing.assert_array_equal(band_mask(a, 1), np.diag(np.diag(a)))
@@ -239,3 +260,53 @@ def test_density_weights_unstructured_cell_share():
     r = Raster(dim=2, points=pts)
     w = density_weights(r)
     np.testing.assert_allclose(w, [0.5, 0.5, 1.0])
+
+
+def _savetxt_bytes(a, path):
+    np.savetxt(path, np.abs(a), delimiter=",", fmt="%.8e")
+    return path.read_bytes()
+
+
+# values whose %.8e digits are hard to get right: zeros, subnormals, the
+# ends of the range, three-digit exponents, 9.999999995e-3 (rounds up into
+# the next decade), exact powers of ten, and exact ties (1234567885.0)
+_HARD_VALUES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                1e-100, 9.99999999e-100, 1e99, 9.999999995e99, 1e300,
+                1.7976931348623157e308, 9.999999995e-3, 9.9999999949e-3,
+                1e-5, 1e22, 1e23, 1234567885.0, 1234567895.0, 0.5]
+
+
+def test_magnitude_csv_hard_values(tmp_path):
+    a = np.array(_HARD_VALUES + [10.0 ** k for k in range(-99, 100)])
+    for shaped in (a, a[None, :], a[:, None], a.reshape(-1, 3),
+                   a[::-1] * (1 - 1j)):
+        save_magnitude_csv(shaped, tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            _savetxt_bytes(shaped, tmp_path / "b.csv")
+
+
+_near_half = st.builds(lambda m, k: (m + 0.5) * 10.0 ** k,
+                       st.integers(10**8, 10**9 - 1), st.integers(-60, 52))
+_csv_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_HARD_VALUES),
+    st.integers(-99, 99).map(lambda k: 10.0 ** k),
+    _near_half,
+    st.builds(lambda x, d: x * (1 + d), _near_half, st.floats(-1e-15, 1e-15)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.sampled_from(["row", "column", "matrix"]),
+       n=st.integers(1, 9), m=st.integers(1, 9), is_complex=st.booleans(),
+       data=st.data())
+def test_magnitude_csv_matches_savetxt(tmp_path, shape, n, m, is_complex,
+                                       data):
+    dims = {"row": (1, n), "column": (n, 1), "matrix": (n, m)}[shape]
+    size = dims[0] * dims[1]
+    draw = lambda: np.array(data.draw(
+        st.lists(_csv_values, min_size=size, max_size=size))).reshape(dims)
+    a = draw() + 1j * draw() if is_complex else draw()
+    save_magnitude_csv(a, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == \
+        _savetxt_bytes(a, tmp_path / "b.csv")

@@ -310,6 +310,24 @@ def test_plan_timings_cover_every_stage():
     assert sum(t[k] for k in stages) <= t["total"]
 
 
+def test_plan_records_each_applied_rtol():
+    # 9 points, 17 modes: Psi is 9 x 17 and T is 9 x 9, so the default
+    # thresholds differ; each inverse records its own
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    plan = build_plan(jittered_grid(4, 0.25, 5), win, 8, band=3)
+    assert plan.psi.shape == (9, 17) and plan.rtol is None
+    psi_info, c_info = plan.meta["psi_pinv"], plan.meta["c_pinv"]
+    assert psi_info.rtol == pytest.approx(1.7e-9, rel=1e-12)
+    assert c_info.rtol == pytest.approx(9e-10, rel=1e-12)
+    masked = band_mask(plan.tmat, plan.band)
+    assert c_info.rank == _svd_pinv(masked, c_info.rtol)[1].rank
+    assert psi_info.rank == _svd_pinv(plan.psi, psi_info.rtol)[1].rank
+    # a requested rtol is the one both inverses apply
+    plan = build_plan(jittered_grid(4, 0.25, 5), win, 8, band=3, rtol=1e-6)
+    assert plan.rtol == 1e-6
+    assert plan.meta["psi_pinv"].rtol == plan.meta["c_pinv"].rtol == 1e-6
+
+
 def test_plan_arrays_read_only():
     win = gaussian_window(0.125, 1e-12, dim=1)
     plan = build_plan(jittered_grid(6, 0.25, 5), win, 6, band=3)
@@ -355,6 +373,6 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
             got, system = plan.cmat, band_mask(plan.tmat, plan.band)
         info = plan.meta[key]
         assert info.factorization == kind
-        oracle, oinfo = _svd_pinv(system, plan.rtol)
+        oracle, oinfo = _svd_pinv(system, info.rtol)
         assert info.rank == oinfo.rank
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
