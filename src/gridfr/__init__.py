@@ -11,9 +11,8 @@ from .errors import ConfigError, FormatError, GridfrError, NumericalError
 from .harness import (ExperimentConfig, MetricsReport, error_maps, l2_relative,
                       linf_error, preset_config, psnr, run_experiment,
                       run_preset, run_sweep, rsweep_config, sweep_config)
-from .numerics import (PinvInfo, band_kept_count, band_kept_fraction,
-                       band_mask, condition_number, default_band,
-                       density_weights, pseudo_inverse)
+from .numerics import (PinvInfo, band_mask, band_pairs, condition_number,
+                       default_band, density_weights, pseudo_inverse)
 from .raster import (Raster, asterisk, jittered_grid, load_raster,
                      rescale_to_box, sas_wedge, save_raster)
 from .recon import (ImageGrid, ReconPlan, admissibility_slope, build_omega,

@@ -5,6 +5,15 @@ seeds) explicitly, so a run is bit-reproducible from its resolved
 config.  The deterministic metrics go to ``metrics.csv``; wall-clock
 timings (which are not reproducible) go to a separate ``timings.json``.
 
+Artifacts of a run with an output directory: resolved_config.json,
+raster.csv, samples.csv, reference.csv/.pgm, scene.pgm, per method
+recon_<m>.csv/.pgm and error_<m>.pgm (log10 |recon - reference|),
+metrics.csv (METRIC_COLUMNS, a row per method) and timings.json.  With
+ftcg, tmatrix.pgm shows all of |T| for T = Psi Omega, and tmatrix.csv
+lists the entries the band keeps: a ``# gridfr-tmatrix v1, order=P,
+band=r`` line, then ``i,j,|T_ij|`` for each pair |i-j| <= r-1 in
+row-major order, with zero-based indices and ``%.8e`` magnitudes.
+
 PSNR convention: computed on the complex difference against the
 windowed-partial-sum reference, peak taken from the reference; a
 second column reports the same number against the raw scene so the
@@ -42,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import save_magnitude_csv
+from .numerics import default_band, save_magnitude_csv
 from .raster import (Raster, asterisk, jittered_grid, rescale_to_box,
                      sas_wedge, save_raster)
 from .recon import (ImageGrid, build_plan, reconstruct, reference_image,
@@ -101,7 +110,6 @@ class MetricsReport:
     l2_rel_vs_scene: float
     linf: float
     kappa_psi: Optional[float] = None
-    kappa_masked_t: Optional[float] = None
     kappa_c: Optional[float] = None
     kept_fraction: Optional[float] = None
     rank_psi: Optional[int] = None
@@ -159,8 +167,28 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def scene_from_config(spec: dict, dim: int) -> Scene:
+# the keys each kind of spec reads; a window spec has no kind
+SCENE_KEYS = {"paper_test_fn": (), "sine": (), "boxcar": ("lo", "hi", "npix"),
+              "trig_poly": ("coefficients",)}
+RASTER_KEYS = {"jittered_grid": ("extents", "jitter", "index_range"),
+               "asterisk": ("spokes", "radial_count", "max_radius"),
+               "sas_wedge": ("k_min", "k_max", "k_count", "ku_max", "ku_count")}
+WINDOW_KEYS = {None: ("sigma", "trunc_eps")}
+
+
+def _check_spec(spec: dict, what: str, kinds: dict, extra=()):
+    """Returns the kind of `spec`; ConfigError on an unknown kind or key."""
     kind = spec.get("kind")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *extra, *kinds[kind]})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    return kind
+
+
+def scene_from_config(spec: dict, dim: int) -> Scene:
+    kind = _check_spec(spec, "scene", SCENE_KEYS)
     if kind == "paper_test_fn":
         return paper_test_scene()
     if kind == "sine":
@@ -168,31 +196,30 @@ def scene_from_config(spec: dict, dim: int) -> Scene:
     if kind == "boxcar":
         return boxcar_scene(spec.get("lo", 0.25), spec.get("hi", 0.75),
                             spec.get("npix", 64))
-    if kind == "trig_poly":
-        coeffs = {}
-        for k, (re, im) in spec["coefficients"].items():
-            key = tuple(int(v) for v in k.split(",")) if dim == 2 else int(k)
-            coeffs[key] = complex(re, im)
-        return trig_poly_scene(coeffs, dim)
-    raise ConfigError(f"unknown scene kind {kind!r}")
+    coeffs = {}
+    for k, (re, im) in spec["coefficients"].items():
+        key = tuple(int(v) for v in k.split(",")) if dim == 2 else int(k)
+        coeffs[key] = complex(re, im)
+    return trig_poly_scene(coeffs, dim)
 
 
 def raster_from_config(spec: dict, seed: int) -> tuple:
-    """Build the raster; returns (raster, transform-or-None)."""
-    kind = spec.get("kind")
+    """Build the raster; returns (raster, transform-or-None).
+
+    Every kind takes ``rescale_to``, the per-axis `rescale_to_box` extents.
+    """
+    kind = _check_spec(spec, "raster", RASTER_KEYS, extra=("rescale_to",))
     if kind == "jittered_grid":
         index_range = spec.get("index_range")
         if index_range is not None:
             index_range = tuple(tuple(p) for p in index_range)
-        return jittered_grid(spec["extents"], spec.get("jitter", 0.25),
-                             seed, index_range), None
-    if kind == "asterisk":
+        r = jittered_grid(spec["extents"], spec.get("jitter", 0.25), seed,
+                          index_range)
+    elif kind == "asterisk":
         r = asterisk(spec["spokes"], spec["radial_count"], spec["max_radius"])
-    elif kind == "sas_wedge":
+    else:
         r = sas_wedge(spec["k_min"], spec["k_max"], spec["k_count"],
                       spec["ku_max"], spec["ku_count"])
-    else:
-        raise ConfigError(f"unknown raster kind {kind!r}")
     rescale = spec.get("rescale_to")
     if rescale is not None:
         return rescale_to_box(r, tuple(rescale))
@@ -259,16 +286,19 @@ def sweep_config(n_extent: int, seed: int) -> ExperimentConfig:
         raster={"kind": "jittered_grid", "extents": n_extent, "jitter": 0.25},
         window={"sigma": 0.25, "trunc_eps": 1e-12},
         modes=6, methods=("cg", "frame", "ftcg"),
-        band=max(1, math.ceil(math.log(2 * n_extent + 1))),
+        band=default_band(2 * n_extent + 1),
         grid_size=1024, rtol=None, snr_db=30.0, seed=seed)
 
 
-def rsweep_config(band: int, seed: int) -> ExperimentConfig:
-    """1D band sweep point: sine scene, noiseless, N=16."""
+def rsweep_config(band: Optional[int], seed: int) -> ExperimentConfig:
+    """1D band sweep point: sine scene, noiseless, N=16; None: full band."""
+    extent = 16
+    if band is None:
+        band = 2 * extent + 1
     return ExperimentConfig(
         name=f"rsweep-1d-r{band}", dim=1,
         scene={"kind": "sine"},
-        raster={"kind": "jittered_grid", "extents": 16, "jitter": 0.25},
+        raster={"kind": "jittered_grid", "extents": extent, "jitter": 0.25},
         window={"sigma": 0.125, "trunc_eps": 1e-12},
         modes=16, methods=("ftcg",), band=band,
         grid_size=1024, rtol=None, snr_db=math.inf, seed=seed)
@@ -296,12 +326,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     """Build, sample, reconstruct, measure; optionally write artifacts.
 
     Returns {method: MetricsReport}.  With `out_dir` set, also writes
-    the raster, samples, reconstructions, log-error maps, the system
-    magnitude map, metrics.csv, timings.json and the resolved config.
+    the artifacts listed in the module docstring.
     With `plans` set, the plan comes from that slot, keyed by raster_id
     and every build_plan argument, so a run on the same raster and plan
     parameters as the slot's last one reuses its plan.
     """
+    _check_spec(config.window, "window", WINDOW_KEYS)
     scene = scene_from_config(config.scene, config.dim)
     rast, transform = raster_from_config(config.raster, config.seed)
     if scene.dim != config.dim or rast.dim != config.dim:
@@ -345,7 +375,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             l2_rel_vs_scene=l2_relative(img, scn_img),
             linf=linf_error(img, reference),
             kappa_psi=plan.meta.get("kappa_psi"),
-            kappa_masked_t=plan.meta.get("kappa_masked_t"),
             kappa_c=plan.meta.get("kappa_c"),
             kept_fraction=plan.meta.get("kept_fraction"),
             rank_psi=getattr(plan.meta.get("psi_pinv"), "rank", None),
@@ -381,8 +410,8 @@ def _fmt(v):
 
 
 METRIC_COLUMNS = ("method", "psnr_db", "psnr_vs_scene_db", "l2_rel",
-                  "l2_rel_vs_scene", "linf", "kappa_psi", "kappa_masked_t",
-                  "kappa_c", "kept_fraction", "rank_psi", "rank_c")
+                  "l2_rel_vs_scene", "linf", "kappa_psi", "kappa_c",
+                  "kept_fraction", "rank_psi", "rank_c")
 
 
 def _write_artifacts(out_dir, config, rast, samples, plan, reference,
@@ -404,7 +433,7 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
         span = emap.values.real - ERROR_MAP_FLOOR
         save_pgm(span, join(f"error_{method}.pgm"), peak=float(span.max() or 1.0))
     if plan.tmat is not None:
-        save_magnitude_csv(plan.tmat, join("tmatrix.csv"))
+        save_magnitude_csv(plan.tmat, plan.band, join("tmatrix.csv"))
         save_pgm(plan.tmat, join("tmatrix.pgm"))
     with open(join("metrics.csv"), "w") as fh:
         fh.write("# gridfr metrics v1\n")
@@ -465,32 +494,21 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
     Returns {"axis": ..., "values": [...], "table": {method: [...]}}.
     """
     if axis == "N":
-        if seeds is None:
-            seeds = PRESET_SEEDS["sweep-1d"]
-        values = list(SWEEP_N_VALUES)
-        table = {m: [] for m in ("cg", "frame", "ftcg")}
-        for n in values:
-            acc = {m: [] for m in table}
-            for seed in seeds:
-                reports = run_experiment(sweep_config(n, seed))
-                for m in table:
-                    acc[m].append(reports[m].l2_rel_vs_scene)
-            for m in table:
-                table[m].append(float(np.median(acc[m])))
+        preset, points, make = "sweep-1d", SWEEP_N_VALUES, sweep_config
     elif axis == "r":
-        if seeds is None:
-            seeds = PRESET_SEEDS["rsweep-1d"]
-        order = 2 * 16 + 1
-        values = [b if b is not None else order for b in RSWEEP_BANDS]
-        table = {"ftcg": []}
-        for band in values:
-            acc = []
-            for seed in seeds:
-                reports = run_experiment(rsweep_config(band, seed))
-                acc.append(reports["ftcg"].l2_rel_vs_scene)
-            table["ftcg"].append(float(np.median(acc)))
+        preset, points, make = "rsweep-1d", RSWEEP_BANDS, rsweep_config
     else:
         raise ConfigError(f"sweep axis must be 'N' or 'r', got {axis!r}")
+    if seeds is None:
+        seeds = PRESET_SEEDS[preset]
+    values, table = [], {}
+    for point in points:
+        configs = [make(point, seed) for seed in seeds]
+        values.append(point if axis == "N" else configs[0].band)
+        reports = [run_experiment(config) for config in configs]
+        for m in configs[0].methods:
+            table.setdefault(m, []).append(float(np.median(
+                [r[m].l2_rel_vs_scene for r in reports])))
 
     if out_path is not None:
         with open(out_path, "w") as fh:

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: truncated pseudo-inverse, band masking,
+"""Dense linear-algebra kernel: truncated pseudo-inverse, the FTCG band,
 condition numbers, and density-compensation quadrature weights.
 
 Matrices are plain complex numpy arrays throughout, and every
@@ -234,25 +234,46 @@ def _svd(a: np.ndarray, **kwargs):
                              f"failed: {exc}") from exc
 
 
-def band_mask(a: np.ndarray, r: int) -> np.ndarray:
-    """Zero everything outside the band |i-j| <= r-1 (width 2r-1)."""
-    a = np.asarray(a)
+def band_pairs(order: int, r: int):
+    """Row and column indices of the band |i-j| <= r-1 (width 2r-1).
+
+    The entries of the order-n matrix T that FTCG keeps, in row-major
+    order: `band_mask` keeps them and `save_magnitude_csv` writes them.
+    """
+    if not 1 <= r <= order:
+        raise ConfigError(f"band half-width r={r} outside [1, {order}]")
+    i = np.repeat(np.arange(order), 2 * r - 1)
+    j = i + np.tile(np.arange(1 - r, r), order)
+    keep = (j >= 0) & (j < order)
+    return i[keep], j[keep]
+
+
+def _square_order(a: np.ndarray, what: str) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError("band_mask expects a square matrix")
-    n = a.shape[0]
-    if not 1 <= r <= n:
-        raise ConfigError(f"band half-width r={r} outside [1, {n}]")
-    idx = np.arange(n)
-    return a * (np.abs(idx[:, None] - idx[None, :]) <= r - 1)
+        raise ConfigError(f"{what} expects a square matrix")
+    return a.shape[0]
 
 
-def band_kept_count(order: int, r: int) -> int:
-    """Number of entries inside a 2r-1 band of an order-n matrix."""
-    return (2 * r - 1) * order - r * (r - 1)
+def band_mask(a: np.ndarray, r: int) -> np.ndarray:
+    """`a` at the `band_pairs` entries, zero everywhere else."""
+    a = np.asarray(a)
+    rows, cols = band_pairs(_square_order(a, "band_mask"), r)
+    out = np.zeros_like(a)
+    out[rows, cols] = a[rows, cols]
+    return out
 
 
-def band_kept_fraction(order: int, r: int) -> float:
-    return band_kept_count(order, r) / float(order * order)
+def save_magnitude_csv(a: np.ndarray, band: int, path) -> None:
+    """Write |a| at the `band_pairs` entries of square `a`.
+
+    A ``# gridfr-tmatrix v1, order=P, band=r`` line, then ``i,j,|a_ij|``
+    per entry in row-major order: zero-based indices, ``%.8e`` magnitude.
+    """
+    a = np.asarray(a)
+    rows, cols = band_pairs(_square_order(a, "save_magnitude_csv"), band)
+    np.savetxt(path, np.column_stack([rows, cols, np.abs(a[rows, cols])]),
+               fmt="%d,%d,%.8e",
+               header=f"gridfr-tmatrix v1, order={len(a)}, band={band}")
 
 
 def default_band(order: int) -> int:
@@ -327,96 +348,3 @@ def density_weights(raster: Raster) -> np.ndarray:
     _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
                                    return_counts=True)
     return 1.0 / counts[inverse]
-
-
-# values formatted per block by save_magnitude_csv (a few MB of work
-# arrays); a scaled mantissa within _TIE_MARGIN of a rounding tie goes to
-# Python's formatter, which rounds the exact binary value
-_CSV_BLOCK = 1 << 16
-_TIE_MARGIN = 1e-6
-# 10^k for k in [_POW10_MIN, 110], each correctly rounded (Python's int
-# to float conversion and int / int division round correctly)
-_POW10_MIN = -93
-_POW10 = np.array([10 ** k if k >= 0 else 1 / 10 ** -k
-                   for k in range(_POW10_MIN, 111)], dtype=float)
-
-
-def save_magnitude_csv(a: np.ndarray, path) -> None:
-    """Dump |entries| row per matrix row (Fig.-style intensity source).
-
-    The file is byte for byte ``np.savetxt(path, np.abs(a), delimiter=",",
-    fmt="%.8e")``: each value is its correctly rounded ``%.8e`` string.
-    Blocks of rows are formatted in numpy; a row holding a value whose
-    digits numpy cannot settle exactly (see `_format_e8`) is formatted
-    by Python's ``%`` operator, as savetxt does, and spliced in.
-    """
-    mag = np.abs(np.asarray(a))
-    if mag.ndim != 2 or mag.size == 0 or mag.dtype.kind != "f":
-        np.savetxt(path, mag, delimiter=",", fmt="%.8e")
-        return
-    rows, cols = mag.shape
-    row_fmt = ",".join(["%.8e"] * cols) + "\n"
-    step = max(1, _CSV_BLOCK // cols)
-    with open(path, "wb") as fh:
-        for lo in range(0, rows, step):
-            block = mag[lo:lo + step]
-            text, doubtful = _format_e8(block.astype(np.float64))
-            start = 0
-            for r in np.flatnonzero(doubtful):
-                fh.write(text[start:r])
-                fh.write((row_fmt % tuple(block[r])).encode("latin1"))
-                start = r + 1
-            fh.write(text[start:])
-
-
-def _format_e8(v: np.ndarray):
-    """``%.8e`` text of a block of non-negative values, 15 bytes a value.
-
-    Returns ``(text, doubtful)``: a uint8 array with one CSV line per
-    row of `v`, and a per-row flag for rows whose text must come from
-    Python instead.  A value is in doubt when it is not finite, its
-    exponent has three digits, its scaled mantissa y = v 10^(8-e) lies
-    within _TIE_MARGIN of a rounding tie (y carries at most about 2e-7
-    of rounding error, from one correctly rounded power of ten and one
-    product), or it rounds up into the next decade.  The exponent e is
-    floor(log10 v), moved by one where y falls outside [1e8, 1e9).
-    """
-    with np.errstate(all="ignore"):
-        zero = v == 0.0
-        e = np.floor(np.log10(v))
-        e[zero] = 0.0
-        bad = ~(np.abs(e) < 100.0)          # also NaN and inf
-        e[bad] = 0.0
-        y = _scaled(v, e)
-        off = np.flatnonzero(((y < 1e8) & ~zero) | (y >= 1e9))
-        if off.size:
-            e.flat[off] += np.where(y.flat[off] >= 1e9, 1.0, -1.0)
-            y.flat[off] = _scaled(v.flat[off], e.flat[off])
-            bad |= ~(np.abs(e) < 100.0)
-        n = np.rint(y)
-        doubt = (bad | (np.abs(y - np.floor(y) - 0.5) < _TIE_MARGIN)
-                 | (n >= 1e9) | ((n < 1e8) & ~zero))
-    n[doubt] = 0.0
-    e[doubt] = 0.0
-    rows, cols = v.shape
-    out = np.empty((rows, cols, 15), np.uint8)
-    digits = n.astype(np.int32)
-    for pos in (9, 8, 7, 6, 5, 4, 3, 2, 0):     # "d.dddddddde+xx,"
-        digits, d = np.divmod(digits, 10)
-        out[..., pos] = d
-        out[..., pos] += ord("0")
-    exp = e.astype(np.int32)
-    out[..., 1] = ord(".")
-    out[..., 10] = ord("e")
-    out[..., 11] = np.where(exp < 0, ord("-"), ord("+"))
-    exp = np.abs(exp)
-    out[..., 12] = exp // 10 + ord("0")
-    out[..., 13] = exp % 10 + ord("0")
-    out[..., 14] = ord(",")
-    out[:, -1, 14] = ord("\n")
-    return out.reshape(rows, cols * 15), doubt.any(axis=1)
-
-
-def _scaled(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """v * 10^(8-e) for exponents |e| <= 100."""
-    return v * _POW10[(8 - e).astype(np.intp) - _POW10_MIN]

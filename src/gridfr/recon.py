@@ -47,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import (PinvInfo, band_kept_fraction, band_mask, default_band,
-                       density_weights, pseudo_inverse)
+from .numerics import (band_mask, band_pairs, default_band, density_weights,
+                       pseudo_inverse)
 from .raster import Raster
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
@@ -88,12 +88,6 @@ class ReconPlan:
     @property
     def raster_ref(self) -> str:
         return self.raster.raster_id
-
-    def n_modes(self) -> int:
-        return int(np.prod([2 * m + 1 for m in self.modes]))
-
-    def mode_arrays(self):
-        return [np.arange(-m, m + 1) for m in self.modes]
 
 
 @dataclass(frozen=True)
@@ -251,8 +245,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     if "ftcg" in methods:
         if band is None:
             band = default_band(len(raster))
-        if not 1 <= band <= len(raster):
-            raise ConfigError(f"band r={band} outside [1, {len(raster)}]")
+        kept = band_pairs(len(raster), band)[0].size    # checks the band
     modes = _axis_modes(raster, modes)
     meta = dict(meta or {})
     t0 = time.perf_counter()
@@ -300,7 +293,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         # inverse are reciprocal, so the two condition numbers coincide
         meta["kappa_masked_t"] = cinfo.kappa
         meta["kappa_c"] = cinfo.kappa
-        meta["kept_fraction"] = band_kept_fraction(len(raster), band)
+        meta["kept_fraction"] = kept / len(raster) ** 2
     if "frame" in methods:
         t1 = time.perf_counter()
         bmat, info = pseudo_inverse(psi, rtol)

@@ -10,7 +10,8 @@ import pytest
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, error_maps,
                     harness, preset_config, psnr, run_experiment, run_preset,
                     run_sweep)
-from gridfr.harness import rsweep_config, scene_from_config, sweep_config
+from gridfr.harness import (METRIC_COLUMNS, raster_from_config, rsweep_config,
+                            scene_from_config, sweep_config)
 
 
 def grid(vals):
@@ -73,6 +74,31 @@ def test_scene_from_config_kinds():
         scene_from_config({"kind": "nope"}, 1)
 
 
+def test_scene_spec_unknown_key():
+    with pytest.raises(ConfigError, match="'low'"):
+        scene_from_config({"kind": "boxcar", "low": 0.1}, 1)
+
+
+def test_raster_spec_unknown_key():
+    with pytest.raises(ConfigError, match="'jiter'"):
+        raster_from_config({"kind": "jittered_grid", "extents": 8,
+                            "jiter": 0.1}, 5)
+
+
+def test_window_spec_unknown_key():
+    cfg = small_config()
+    cfg.window = {**cfg.window, "sigam": 0.2}
+    with pytest.raises(ConfigError, match="'sigam'"):
+        run_experiment(cfg)
+
+
+def test_jittered_raster_spec_rescales():
+    rast, transform = raster_from_config(
+        {"kind": "jittered_grid", "extents": 8, "rescale_to": [4]}, 5)
+    assert transform is not None
+    assert rast.max_abs()[0] == pytest.approx(4.0, rel=1e-12)
+
+
 def small_config(seed=3):
     return ExperimentConfig(
         name="tiny", dim=1,
@@ -106,6 +132,13 @@ def test_run_experiment_artifacts(tmp_path):
     cfg_back = ExperimentConfig.from_json(
         (out / "resolved_config.json").read_text())
     assert cfg_back == small_config()
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert metrics[2] == ",".join(METRIC_COLUMNS)
+    assert "kappa_masked_t" not in metrics[2]
+    # the kept entries of the 17-point system at r=3: 5 per row less 6
+    tmatrix = (out / "tmatrix.csv").read_text().splitlines()
+    assert tmatrix[0] == "# gridfr-tmatrix v1, order=17, band=3"
+    assert len(tmatrix) == 1 + 5 * 17 - 6
 
 
 def test_run_bit_reproducible(tmp_path):

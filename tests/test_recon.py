@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from gridfr import (ConfigError, admissibility_slope, analytic_coeffs,
+from gridfr import (ConfigError, admissibility_slope, analytic_coeffs, asterisk,
                     build_omega, build_plan, build_psi, coefficients,
                     gaussian_window, grid_image_scene, jittered_grid,
-                    reconstruct,
+                    paper_test_scene, reconstruct,
                     reference_image, scene_image, sine_scene, synthesize,
                     trig_poly_scene, windowed_coefficients)
 from gridfr import recon
@@ -376,3 +378,26 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
         oracle, oinfo = _svd_pinv(system, info.rtol)
         assert info.rank == oinfo.rank
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["jittered-1d", "asterisk"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_frame_independent_of_point_order(kind, seed):
+    # the frame solve is least squares over the points, so relabelling
+    # them permutes the rows of Psi and the data alike
+    if kind == "jittered-1d":
+        raster, scene = jittered_grid(8, 0.25, seed), sine_scene()
+        win, modes, rtol = gaussian_window(0.125, 1e-12, dim=1), 8, None
+    else:
+        raster, scene = asterisk(22, 5, 5.0), paper_test_scene()
+        win, modes, rtol = gaussian_window(0.2, 1e-12, dim=2), (5, 5), 1e-5
+    perm = np.random.default_rng(np.random.Philox(key=np.uint64(seed))) \
+        .permutation(len(raster))
+    permuted = Raster(dim=raster.dim, points=raster.points[perm])
+    betas = []
+    for r in (raster, permuted):
+        plan = build_plan(r, win, modes, ("frame",), rtol=rtol)
+        betas.append(coefficients(plan, analytic_coeffs(scene, r)))
+    assert np.linalg.norm(betas[1] - betas[0]) <= \
+        1e-10 * np.linalg.norm(betas[0])
