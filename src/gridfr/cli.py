@@ -13,19 +13,15 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, FormatError, NumericalError
-from .harness import (ExperimentConfig, PRESET_SEEDS, error_maps,
-                      l2_relative, linf_error, psnr, run_experiment,
-                      run_preset, run_sweep)
-from .raster import (asterisk, jittered_grid, load_raster, rescale_to_box,
-                     sas_wedge, save_raster)
+from .harness import (PRESET_SEEDS, RASTER_KEYS, ExperimentConfig,
+                      fourier_data, l2_relative, linf_error, psnr,
+                      raster_from_config, run_experiment, run_preset,
+                      run_sweep, save_error_map, scene_from_config)
+from .raster import load_raster, save_raster
 from .recon import (build_plan, load_image_csv, reconstruct, save_image_csv,
                     save_pgm)
-from .sampling import (add_noise, analytic_coeffs, boxcar_scene, load_samples,
-                       paper_test_scene, quadrature_coeffs, save_samples,
-                       sine_scene)
+from .sampling import load_samples, save_samples
 from .window import gaussian_window
 
 
@@ -33,10 +29,14 @@ def _parse_snr(text: str) -> float:
     return math.inf if text in ("inf", "Inf", "INF") else float(text)
 
 
+# gen-raster's kinds as raster spec kinds; its other flags are spec keys
+RASTER_KINDS = {"jittered": "jittered_grid", "asterisk": "asterisk",
+                "sas-wedge": "sas_wedge"}
+
+
 def _add_gen_raster(sub):
     p = sub.add_parser("gen-raster", help="generate a raster CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["jittered", "asterisk", "sas-wedge"])
+    p.add_argument("--kind", required=True, choices=list(RASTER_KINDS))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extents", type=int, nargs="+", default=[16])
@@ -54,40 +54,25 @@ def _add_gen_raster(sub):
 
 
 def _cmd_gen_raster(args) -> int:
-    if args.kind == "jittered":
-        extents = args.extents[0] if len(args.extents) == 1 else args.extents
-        r = jittered_grid(extents, args.jitter, args.seed)
-    elif args.kind == "asterisk":
-        r = asterisk(args.spokes, args.radial_count, args.max_radius)
-    else:
-        r = sas_wedge(args.k_min, args.k_max, args.k_count,
-                      args.ku_max, args.ku_count)
-    if args.rescale_to is not None:
-        r, _ = rescale_to_box(r, tuple(args.rescale_to))
+    kind = RASTER_KINDS[args.kind]
+    required, optional = RASTER_KEYS[kind]
+    keys = {*required, *optional, "rescale_to"}
+    spec = {k: v for k, v in vars(args).items() if k in keys}
+    r, _ = raster_from_config({"kind": kind, **spec}, args.seed)
     save_raster(r, args.out)
     print(f"wrote {len(r)} points to {args.out}")
     return 0
 
 
-SCENES = {"paper": paper_test_scene, "sine": sine_scene,
-          "boxcar": boxcar_scene}
-
-
-def _scene(name: str):
-    if name not in SCENES:
-        raise ConfigError(f"unknown scene {name!r} (have {sorted(SCENES)})")
-    return SCENES[name]()
+# sample's scene names as scene specs
+SCENES = {"paper": {"kind": "paper_test_fn"}, "sine": {"kind": "sine"},
+          "boxcar": {"kind": "boxcar"}}
 
 
 def _cmd_sample(args) -> int:
     raster = load_raster(args.raster)
-    scene = _scene(args.scene)
-    if scene.kind == "grid_image":
-        samples = quadrature_coeffs(scene, raster)
-    else:
-        samples = analytic_coeffs(scene, raster)
-    if not math.isinf(args.snr):
-        samples = add_noise(samples, args.snr, args.seed)
+    scene = scene_from_config(SCENES[args.scene], raster.dim)
+    samples = fourier_data(scene, raster, args.snr, args.seed)
     save_samples(samples, raster, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -115,9 +100,7 @@ def _cmd_metrics(args) -> int:
     print(f"l2_rel={l2_relative(recon, ref):.6g}")
     print(f"linf={linf_error(recon, ref):.6g}")
     if args.error_map:
-        emap = error_maps(recon, ref)
-        span = emap.values.real - (-16.0)
-        save_pgm(span, args.error_map, peak=float(span.max() or 1.0))
+        save_error_map(recon, ref, args.error_map)
     return 0
 
 
@@ -202,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="evaluate scene Fourier data on a raster")
     p.add_argument("--raster", required=True)
-    p.add_argument("--scene", default="paper")
+    p.add_argument("--scene", choices=sorted(SCENES), default="paper")
     p.add_argument("--snr", type=_parse_snr, default=math.inf)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -59,7 +59,7 @@ from .recon import (ImageGrid, build_plan, reconstruct, reference_image,
 from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
                        boxcar_scene, paper_test_scene, quadrature_coeffs,
                        save_samples, sine_scene, trig_poly_scene)
-from .window import gaussian_window
+from .window import DEFAULT_TRUNC_EPS, WindowSpec, gaussian_window
 
 ERROR_MAP_FLOOR = -16.0
 NOISE_SEED_OFFSET = 5000
@@ -99,6 +99,12 @@ def error_maps(recon: ImageGrid, reference: ImageGrid) -> ImageGrid:
     return ImageGrid(values=logmap.astype(complex), grid_size=recon.grid_size,
                      method=f"log10-error[{recon.method}]",
                      plan_ref=recon.plan_ref)
+
+
+def save_error_map(recon: ImageGrid, reference: ImageGrid, path) -> None:
+    """PGM of `error_maps`: black at the floor, white at the largest error."""
+    span = error_maps(recon, reference).values.real - ERROR_MAP_FLOOR
+    save_pgm(span, path, peak=float(span.max() or 1.0))
 
 
 @dataclass
@@ -162,40 +168,57 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         d = dict(d)
         snr = d.get("snr_db", "inf")
-        d["snr_db"] = math.inf if snr in ("inf", None) else float(snr)
+        try:
+            d["snr_db"] = math.inf if snr in ("inf", None) else float(snr)
+        except (TypeError, ValueError):
+            raise ConfigError(f"snr_db must be a number or 'inf', got {snr!r}")
         d["methods"] = tuple(d.get("methods", ("cg", "frame", "ftcg")))
         return cls(**d)
 
 
-# the keys each kind of spec reads; a window spec has no kind
-SCENE_KEYS = {"paper_test_fn": (), "sine": (), "boxcar": ("lo", "hi", "npix"),
-              "trig_poly": ("coefficients",)}
-RASTER_KEYS = {"jittered_grid": ("extents", "jitter", "index_range"),
-               "asterisk": ("spokes", "radial_count", "max_radius"),
-               "sas_wedge": ("k_min", "k_max", "k_count", "ku_max", "ku_count")}
-WINDOW_KEYS = {None: ("sigma", "trunc_eps")}
+# per kind of spec, its required keys and its optional keys with their
+# defaults; a window spec has no kind
+SCENE_KEYS = {"paper_test_fn": ((), {}), "sine": ((), {}),
+              "boxcar": ((), {"lo": 0.25, "hi": 0.75, "npix": 64}),
+              "trig_poly": (("coefficients",), {})}
+RASTER_KEYS = {"jittered_grid": (("extents",), {"jitter": 0.25,
+                                                "index_range": None}),
+               "asterisk": (("spokes", "radial_count", "max_radius"), {}),
+               "sas_wedge": (("k_min", "k_max", "k_count", "ku_max",
+                              "ku_count"), {})}
+WINDOW_KEYS = {None: (("sigma",), {"trunc_eps": DEFAULT_TRUNC_EPS})}
 
 
-def _check_spec(spec: dict, what: str, kinds: dict, extra=()):
-    """Returns the kind of `spec`; ConfigError on an unknown kind or key."""
+def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
+    """Returns ``(kind, spec with defaults filled in)``.
+
+    `extra` holds optional keys every kind takes, with their defaults.
+    ConfigError on an unknown kind, an unknown key or a missing one.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *extra, *kinds[kind]})
+    required, optional = kinds[kind]
+    optional = {**optional, **(extra or {})}
+    unknown = sorted(set(spec) - {"kind", *required, *optional})
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
-    return kind
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
+    return kind, {**optional, **spec}
 
 
 def scene_from_config(spec: dict, dim: int) -> Scene:
-    kind = _check_spec(spec, "scene", SCENE_KEYS)
+    kind, spec = _check_spec(spec, "scene", SCENE_KEYS)
     if kind == "paper_test_fn":
         return paper_test_scene()
     if kind == "sine":
         return sine_scene()
     if kind == "boxcar":
-        return boxcar_scene(spec.get("lo", 0.25), spec.get("hi", 0.75),
-                            spec.get("npix", 64))
+        return boxcar_scene(spec["lo"], spec["hi"], spec["npix"])
     coeffs = {}
     for k, (re, im) in spec["coefficients"].items():
         key = tuple(int(v) for v in k.split(",")) if dim == 2 else int(k)
@@ -208,22 +231,39 @@ def raster_from_config(spec: dict, seed: int) -> tuple:
 
     Every kind takes ``rescale_to``, the per-axis `rescale_to_box` extents.
     """
-    kind = _check_spec(spec, "raster", RASTER_KEYS, extra=("rescale_to",))
+    kind, spec = _check_spec(spec, "raster", RASTER_KEYS,
+                             extra={"rescale_to": None})
     if kind == "jittered_grid":
-        index_range = spec.get("index_range")
-        if index_range is not None:
-            index_range = tuple(tuple(p) for p in index_range)
-        r = jittered_grid(spec["extents"], spec.get("jitter", 0.25), seed,
-                          index_range)
+        r = jittered_grid(spec["extents"], spec["jitter"], seed,
+                          spec["index_range"])
     elif kind == "asterisk":
         r = asterisk(spec["spokes"], spec["radial_count"], spec["max_radius"])
     else:
         r = sas_wedge(spec["k_min"], spec["k_max"], spec["k_count"],
                       spec["ku_max"], spec["ku_count"])
-    rescale = spec.get("rescale_to")
-    if rescale is not None:
-        return rescale_to_box(r, tuple(rescale))
+    if spec["rescale_to"] is not None:
+        return rescale_to_box(r, tuple(spec["rescale_to"]))
     return r, None
+
+
+def window_from_config(spec: dict, dim: int) -> WindowSpec:
+    _, spec = _check_spec(spec, "window", WINDOW_KEYS)
+    return gaussian_window(spec["sigma"], spec["trunc_eps"], dim=dim)
+
+
+def fourier_data(scene: Scene, raster: Raster, snr_db: float,
+                 noise_seed: int) -> SampleSet:
+    """The scene's Fourier data on `raster`, with noise at a finite SNR.
+
+    Closed form where the scene has one, pixel quadrature otherwise.
+    """
+    if scene.kind == "grid_image":
+        samples = quadrature_coeffs(scene, raster)
+    else:
+        samples = analytic_coeffs(scene, raster)
+    if not math.isinf(snr_db):
+        samples = add_noise(samples, snr_db, noise_seed)
+    return samples
 
 
 # ------------------------------------------------------------------ presets
@@ -331,21 +371,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     and every build_plan argument, so a run on the same raster and plan
     parameters as the slot's last one reuses its plan.
     """
-    _check_spec(config.window, "window", WINDOW_KEYS)
+    window = window_from_config(config.window, config.dim)
     scene = scene_from_config(config.scene, config.dim)
     rast, transform = raster_from_config(config.raster, config.seed)
     if scene.dim != config.dim or rast.dim != config.dim:
         raise ConfigError("config dim does not match scene/raster dim")
-    window = gaussian_window(config.window["sigma"],
-                             config.window.get("trunc_eps", 1e-12),
-                             dim=config.dim)
-    if scene.kind == "grid_image":
-        samples = quadrature_coeffs(scene, rast)
-    else:
-        samples = analytic_coeffs(scene, rast)
-    if not math.isinf(config.snr_db):
-        samples = add_noise(samples, config.snr_db,
-                            config.seed + NOISE_SEED_OFFSET)
+    samples = fourier_data(scene, rast, config.snr_db,
+                           config.seed + NOISE_SEED_OFFSET)
     meta = {"preset": config.name}
     if transform is not None:
         meta["rescale_transform"] = transform
@@ -356,10 +388,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         quad_nodes=config.quad_nodes, rtol=config.rtol, meta=meta))
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
     grid = config.grid_size
-    reference = _reference(
-        json.dumps(config.scene, sort_keys=True), config.dim,
-        config.window["sigma"], config.window.get("trunc_eps", 1e-12),
-        plan.modes, grid if np.isscalar(grid) else tuple(grid))
+    reference = _reference(json.dumps(config.scene, sort_keys=True),
+                           config.dim, window, plan.modes,
+                           grid if np.isscalar(grid) else tuple(grid))
     scn_img = scene_image(scene, config.grid_size, config.dim)
 
     reports = {}
@@ -389,15 +420,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
 
 @functools.lru_cache(maxsize=8)
-def _reference(scene_json: str, dim: int, sigma: float, trunc_eps: float,
-               modes: tuple, grid_size) -> ImageGrid:
+def _reference(scene_json: str, dim: int, window: WindowSpec, modes: tuple,
+               grid_size) -> ImageGrid:
     """The reference image, computed once per distinct scene, window,
     mode box and grid: it does not depend on the raster, seed or noise.
 
     The cached ImageGrid is shared between runs; its values are read-only.
     """
     scene = scene_from_config(json.loads(scene_json), dim)
-    window = gaussian_window(sigma, trunc_eps, dim=dim)
     return reference_image(scene, window, modes, grid_size)
 
 
@@ -429,9 +459,7 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
     for method, img in images.items():
         save_image_csv(img, join(f"recon_{method}.csv"))
         save_pgm(img.values, join(f"recon_{method}.pgm"), peak=peak)
-        emap = error_maps(img, reference)
-        span = emap.values.real - ERROR_MAP_FLOOR
-        save_pgm(span, join(f"error_{method}.pgm"), peak=float(span.max() or 1.0))
+        save_error_map(img, reference, join(f"error_{method}.pgm"))
     if plan.tmat is not None:
         save_magnitude_csv(plan.tmat, plan.band, join("tmatrix.csv"))
         save_pgm(plan.tmat, join("tmatrix.pgm"))

@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: truncated pseudo-inverse, the FTCG band,
-condition numbers, and density-compensation quadrature weights.
+and density-compensation quadrature weights.
 
 Matrices are plain complex numpy arrays throughout, and every
 factorization is one of numpy's LAPACK bindings (LU, QR or SVD).  The
@@ -15,12 +15,13 @@ condition number so ill-conditioning is visible instead of silent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .raster import Raster
+from .raster import Raster, philox_rng
 
 
 def default_rtol(shape) -> float:
@@ -176,7 +177,7 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float):
         return s, rank, None, None
     if s[rank] > _DEFLATION_GAP * s[rank - 1]:
         return None
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(n)))
+    rng = philox_rng(n)
     v = rng.normal(size=(n, dropped))
     if np.iscomplexobj(a):
         v = v + 1j * rng.normal(size=(n, dropped))
@@ -240,8 +241,9 @@ def band_pairs(order: int, r: int):
     The entries of the order-n matrix T that FTCG keeps, in row-major
     order: `band_mask` keeps them and `save_magnitude_csv` writes them.
     """
-    if not 1 <= r <= order:
-        raise ConfigError(f"band half-width r={r} outside [1, {order}]")
+    if not isinstance(r, numbers.Integral) or not 1 <= r <= order:
+        raise ConfigError(f"band half-width r={r!r} is not an integer in "
+                          f"[1, {order}]")
     i = np.repeat(np.arange(order), 2 * r - 1)
     j = i + np.tile(np.arange(1 - r, r), order)
     keep = (j >= 0) & (j < order)
@@ -284,25 +286,6 @@ def default_band(order: int) -> int:
     """
     r = int(np.ceil(np.log(order)))
     return min(max(r, 1), order)
-
-
-def condition_number(a: np.ndarray, rtol: float | None = None):
-    """2-norm condition of the rank-truncated operator.
-
-    Returns ``(kappa, info)`` where kappa is the ratio of the largest
-    to the smallest retained singular value.
-    """
-    a = np.asarray(a)
-    if not np.any(a):
-        raise NumericalError("condition number of a zero matrix")
-    if rtol is None:
-        rtol = default_rtol(a.shape)
-    s = _svd(a, compute_uv=False)
-    keep = s > rtol * s[0]
-    rank = int(np.count_nonzero(keep))
-    info = PinvInfo(rank=rank, sigma_max=float(s[0]),
-                    sigma_min_kept=float(s[rank - 1]), rtol=rtol)
-    return info.kappa, info
 
 
 def _trapezoid_1d(sorted_coords: np.ndarray) -> np.ndarray:

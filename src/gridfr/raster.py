@@ -21,6 +21,7 @@ Point order conventions (this order is what banded FTCG operators see):
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,7 +93,11 @@ def _check_duplicates(pts):
             raise ConfigError("duplicate raster points")
 
 
-def _rng(seed):
+def philox_rng(seed) -> np.random.Generator:
+    """Philox generator keyed by `seed`, an integer in [0, 2**64)."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), "
+                          f"got {seed!r}")
     return np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -134,7 +139,7 @@ def jittered_grid(extents, jitter: float, seed: int, index_range=None) -> Raster
             raise ConfigError(f"empty index range ({lo}, {hi})")
     axes = [np.arange(lo, hi + 1, dtype=float) for lo, hi in ranges]
     base = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     pts = base + rng.uniform(-jitter, jitter, size=base.shape)
     return Raster(dim=dim, points=pts, kind="jittered_grid", seed=int(seed),
                   index_extents=tuple(ranges), meta={"jitter": float(jitter)})

@@ -112,9 +112,12 @@ class ImageGrid:
 def _axis_modes(raster: Raster, modes) -> tuple:
     if modes is None:
         return default_modes(raster)
-    if np.isscalar(modes):
-        return (int(modes),) * raster.dim
-    return tuple(int(m) for m in modes)
+    out = (int(modes),) * raster.dim if np.isscalar(modes) \
+        else tuple(int(m) for m in modes)
+    if len(out) != raster.dim or min(out) < 0:
+        raise ConfigError(f"modes must be {raster.dim} non-negative "
+                          f"half-extent(s), got {modes!r}")
+    return out
 
 
 def default_modes(raster: Raster) -> tuple:
@@ -145,22 +148,11 @@ def _recip_window_transform(t, window: WindowSpec, nodes: int):
     """v(t) = int_0^1 exp(2 pi i t x) / w(x) dx on an array of offsets.
 
     Evaluates the exponential at every (offset, node) pair; the oracle
-    behind `psi_entry_quad` and `psi_quadrature_drift`, not a build path.
+    behind `psi_quadrature_drift`, not a build path.
     """
     xq, wq = gauss_legendre_01(nodes)
     vx = wq / window_values(xq, window.sigma)
     return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, float), xq)) @ vx
-
-
-def psi_entry_quad(window: WindowSpec, lam, m, nodes: int = 2048) -> complex:
-    """Single Psi entry by long quadrature (test oracle)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    out = 1.0 + 0j
-    for a in range(len(lam)):
-        out *= complex(_recip_window_transform(
-            np.array([m[a] - lam[a]]), window, nodes)[0])
-    return out
 
 
 def build_psi(raster: Raster, window: WindowSpec, modes=None,
@@ -426,36 +418,6 @@ def scene_image(scene: Scene, grid_size, dim: int) -> ImageGrid:
     vals = _scene_lattice(scene, [np.arange(n) / n for n in g])
     return ImageGrid(values=np.asarray(vals, dtype=complex), grid_size=g,
                      method="scene")
-
-
-# ---------------------------------------------------------- admissibility
-
-def admissibility_slope(window: WindowSpec, n_extent: int,
-                        nodes: int = 768) -> float:
-    """Decay exponent of |<zeta_n, zeta_l>| against mode separation.
-
-    zeta_n(x) = e^{2 pi i <n,x>} / w(x); the pairwise inner products on
-    the 2D lattice |n_i| <= N separate into 1D factors
-    q(d) = int_0^1 e^{2 pi i d x} / w(x)^2 dx.  Returns the slope of
-    log10 |ip| regressed on log10(1 + ||n - l||_2) over all pairs; an
-    admissible frame needs decay faster than quadratic (slope <= -2).
-    """
-    d = np.arange(-2 * n_extent, 2 * n_extent + 1)
-    xq, wq = gauss_legendre_01(nodes)
-    vx = wq / window_values(xq, window.sigma) ** 2
-    q = np.exp(2j * np.pi * np.multiply.outer(d.astype(float), xq)) @ vx
-    qabs = dict(zip(d.tolist(), np.abs(q)))
-    n = np.arange(-n_extent, n_extent + 1)
-    i1, i2 = np.meshgrid(n, n, indexing="ij")
-    flat = np.stack([i1.ravel(), i2.ravel()], axis=1)
-    d1 = flat[:, 0][:, None] - flat[:, 0][None, :]
-    d2 = flat[:, 1][:, None] - flat[:, 1][None, :]
-    look = np.vectorize(qabs.get)
-    ip = look(d1) * look(d2)
-    dist = np.sqrt(d1**2 + d2**2)
-    xv = np.log10(1.0 + dist.ravel())
-    yv = np.log10(ip.ravel() + 1e-300)
-    return float(np.polyfit(xv, yv, 1)[0])
 
 
 # ------------------------------------------------------------------- files

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .raster import Raster
+from .raster import Raster, philox_rng
 from .window import gauss_legendre_01
 
 _HEADER_PREFIX = "# gridfr-samples v1"
@@ -254,7 +254,7 @@ def add_noise(samples: SampleSet, snr_db: float, seed: int) -> SampleSet:
     if p_signal == 0.0:
         raise ConfigError("all-zero signal has no finite-SNR noise scale")
     p_noise = p_signal * 10.0 ** (-snr_db / 10.0)
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_rng(seed)
     scale = np.sqrt(p_noise / 2.0)
     noise = rng.normal(0.0, scale, len(samples)) \
         + 1j * rng.normal(0.0, scale, len(samples))
@@ -299,15 +299,3 @@ def load_samples(path, raster: Raster) -> SampleSet:
     return SampleSet(raster_ref=raster.raster_id, values=np.array(vals),
                      provenance="file")
 
-
-def check_conjugate_symmetry(samples: SampleSet, raster: Raster,
-                             tol: float = 1e-10) -> bool:
-    """True when f_hat(-lambda) == conj(f_hat(lambda)) wherever both exist."""
-    pts = raster.points.reshape(len(raster), -1)
-    index = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
-    for i, p in enumerate(pts):
-        j = index.get(tuple(np.round(-p, 9)))
-        if j is not None:
-            if abs(samples.values[j] - np.conj(samples.values[i])) > tol:
-                return False
-    return True

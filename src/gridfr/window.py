@@ -70,43 +70,11 @@ def window_values(x, sigma: float):
     return np.exp(-((x - 0.5) ** 2) / (2.0 * sigma**2))
 
 
-def eval_window(x, spec: WindowSpec):
-    """Evaluate w at a point (or array of points) of [0,1]^dim.
-
-    For dim=2 the last axis of `x` holds the two coordinates and the
-    per-axis factors are multiplied.  Raises ConfigError outside the
-    unit box.
-    """
-    x = np.asarray(x, dtype=float)
-    if spec.dim == 2:
-        if x.shape == () or x.shape[-1] != 2:
-            raise ConfigError("2D window expects coordinate pairs")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ConfigError("window argument outside [0,1]^d")
-    vals = window_values(x, spec.sigma)
-    if spec.dim == 2:
-        vals = np.prod(vals, axis=-1)
-    return vals if vals.shape else float(vals)
-
-
 def spectrum_factor(xi, sigma: float):
     """1D closed-form spectrum sqrt(2pi) s exp(-2 pi^2 s^2 xi^2) e^{-i pi xi}."""
     xi = np.asarray(xi, dtype=float)
     mag = math.sqrt(2.0 * math.pi) * sigma * np.exp(-2.0 * np.pi**2 * sigma**2 * xi**2)
     return mag * np.exp(-1j * np.pi * xi)
-
-
-def eval_spectrum(xi, spec: WindowSpec):
-    """Evaluate w_hat at a frequency (one value per axis; product in 2D)."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ConfigError("non-finite frequency")
-    vals = spectrum_factor(xi, spec.sigma)
-    if spec.dim == 2:
-        if xi.shape == () or xi.shape[-1] != 2:
-            raise ConfigError("2D spectrum expects frequency pairs")
-        vals = np.prod(vals, axis=-1)
-    return complex(vals) if vals.shape == () else vals
 
 
 @lru_cache(maxsize=16)

@@ -1,0 +1,71 @@
+"""Independent reference computations the tests compare the package against.
+
+None of these runs in a reconstruction; each recomputes a quantity by a
+slower or more direct route than the package's own.
+"""
+
+import numpy as np
+
+from gridfr.recon import _recip_window_transform
+from gridfr.window import gauss_legendre_01, window_values
+
+
+def psi_entry_quad(window, lam, m, nodes: int = 2048) -> complex:
+    """Single Psi entry by long quadrature, one 1D factor per axis."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    out = 1.0 + 0j
+    for a in range(len(lam)):
+        out *= complex(_recip_window_transform(
+            np.array([m[a] - lam[a]]), window, nodes)[0])
+    return out
+
+
+def admissibility_slope(window, n_extent: int, nodes: int = 768) -> float:
+    """Decay exponent of |<zeta_n, zeta_l>| against mode separation.
+
+    zeta_n(x) = e^{2 pi i <n,x>} / w(x); the pairwise inner products on
+    the 2D lattice |n_i| <= N separate into 1D factors
+    q(d) = int_0^1 e^{2 pi i d x} / w(x)^2 dx.  Returns the slope of
+    log10 |ip| regressed on log10(1 + ||n - l||_2) over all pairs; an
+    admissible frame needs decay faster than quadratic (slope <= -2).
+    """
+    d = np.arange(-2 * n_extent, 2 * n_extent + 1)
+    xq, wq = gauss_legendre_01(nodes)
+    vx = wq / window_values(xq, window.sigma) ** 2
+    q = np.exp(2j * np.pi * np.multiply.outer(d.astype(float), xq)) @ vx
+    qabs = dict(zip(d.tolist(), np.abs(q)))
+    n = np.arange(-n_extent, n_extent + 1)
+    i1, i2 = np.meshgrid(n, n, indexing="ij")
+    flat = np.stack([i1.ravel(), i2.ravel()], axis=1)
+    d1 = flat[:, 0][:, None] - flat[:, 0][None, :]
+    d2 = flat[:, 1][:, None] - flat[:, 1][None, :]
+    look = np.vectorize(qabs.get)
+    ip = look(d1) * look(d2)
+    dist = np.sqrt(d1**2 + d2**2)
+    xv = np.log10(1.0 + dist.ravel())
+    yv = np.log10(ip.ravel() + 1e-300)
+    return float(np.polyfit(xv, yv, 1)[0])
+
+
+def _negated_pairs(raster):
+    """Index pairs (i, j) with point j = -(point i), where both exist."""
+    pts = raster.points.reshape(len(raster), -1)
+    index = {tuple(np.round(p, 9)): i for i, p in enumerate(pts)}
+    keys = [tuple(np.round(-p, 9)) for p in pts]
+    return [(i, index[k]) for i, k in enumerate(keys) if k in index]
+
+
+def negation_permutation(raster) -> np.ndarray:
+    """perm with point perm[i] = -(point i); the raster must be closed
+    under negation."""
+    pairs = _negated_pairs(raster)
+    assert len(pairs) == len(raster), "raster is not closed under negation"
+    return np.array([j for _, j in pairs])
+
+
+def check_conjugate_symmetry(samples, raster, tol: float = 1e-10) -> bool:
+    """True when f_hat(-lambda) == conj(f_hat(lambda)) wherever both exist."""
+    v = samples.values
+    return all(abs(v[j] - np.conj(v[i])) <= tol
+               for i, j in _negated_pairs(raster))

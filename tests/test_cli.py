@@ -114,6 +114,48 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def _tiny_config(**fields):
+    return {"name": "tiny", "dim": 1, "scene": {"kind": "sine"},
+            "raster": {"kind": "jittered_grid", "extents": 8},
+            "window": {"sigma": 0.125}, "modes": 8, "methods": ["ftcg"],
+            "band": 3, "grid_size": 64, "seed": 4, **fields}
+
+
+# each config is malformed in the field it is named after
+MALFORMED_CONFIGS = {
+    "extents": _tiny_config(raster={"kind": "jittered_grid"}),
+    "sigma": _tiny_config(window={"trunc_eps": 1e-12}),
+    "coefficients": _tiny_config(scene={"kind": "trig_poly"}),
+    "band": _tiny_config(band=2.5),
+    "snr_db": _tiny_config(snr_db="abc"),
+    "seed": _tiny_config(seed=-1),
+    "modes": _tiny_config(modes=-1),
+}
+
+
+@pytest.mark.parametrize("field, argv", [
+    *(pytest.param(f, ["run", "--config", "{tmp}/" + f + ".json"],
+                   id=f"config-{f}") for f in MALFORMED_CONFIGS),
+    pytest.param("seed", ["run", "--preset", "noisy-grid", "--seed", "-1"],
+                 id="preset-seed"),
+    pytest.param("seed", ["gen-raster", "--kind", "jittered", "--seed", "-1",
+                          "--out", "{tmp}/r.csv"], id="gen-raster-seed"),
+    pytest.param("seed", ["sample", "--raster", "{tmp}/ok.csv", "--scene",
+                          "sine", "--snr", "30", "--seed", "-3",
+                          "--out", "{tmp}/s.csv"], id="sample-seed"),
+])
+def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
+    for name, cfg in MALFORMED_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert main(["gen-raster", "--kind", "jittered", "--extents", "4",
+                 "--out", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert field in err
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["sample", "--raster", str(tmp_path / "none.csv"),
                  "--scene", "sine", "--out", str(tmp_path / "s.csv")]) == 2

@@ -10,8 +10,10 @@ import pytest
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, error_maps,
                     harness, preset_config, psnr, run_experiment, run_preset,
                     run_sweep)
-from gridfr.harness import (METRIC_COLUMNS, raster_from_config, rsweep_config,
-                            scene_from_config, sweep_config)
+from gridfr.harness import (METRIC_COLUMNS, RASTER_KEYS, SCENE_KEYS,
+                            WINDOW_KEYS, raster_from_config, rsweep_config,
+                            scene_from_config, sweep_config,
+                            window_from_config)
 
 
 def grid(vals):
@@ -90,6 +92,28 @@ def test_window_spec_unknown_key():
     cfg.window = {**cfg.window, "sigam": 0.2}
     with pytest.raises(ConfigError, match="'sigam'"):
         run_experiment(cfg)
+
+
+SPEC_BUILDERS = {"scene": (SCENE_KEYS, lambda s: scene_from_config(s, 1)),
+                 "raster": (RASTER_KEYS, lambda s: raster_from_config(s, 0)),
+                 "window": (WINDOW_KEYS, lambda s: window_from_config(s, 1))}
+
+
+@pytest.mark.parametrize("what, kind, key", [
+    (what, kind, key) for what, (kinds, _) in SPEC_BUILDERS.items()
+    for kind, (required, _) in kinds.items() for key in required])
+def test_spec_missing_required_key(what, kind, key):
+    kinds, build = SPEC_BUILDERS[what]
+    spec = {k: 1 for k in kinds[kind][0] if k != key}
+    if kind is not None:
+        spec["kind"] = kind
+    with pytest.raises(ConfigError, match=f"missing {what} keys: .*'{key}'"):
+        build(spec)
+
+
+def test_spec_not_an_object():
+    with pytest.raises(ConfigError, match="raster spec must be an object"):
+        raster_from_config([8], 0)
 
 
 def test_jittered_raster_spec_rescales():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from gridfr import (ConfigError, admissibility_slope, analytic_coeffs, asterisk,
+from gridfr import (ConfigError, analytic_coeffs, asterisk,
                     build_omega, build_plan, build_psi, coefficients,
                     gaussian_window, grid_image_scene, jittered_grid,
                     paper_test_scene, reconstruct,
@@ -14,9 +14,10 @@ from gridfr import recon
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.numerics import _svd_pinv, band_mask
 from gridfr.raster import Raster
-from gridfr.recon import psi_entry_quad
 from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
+
+from oracles import admissibility_slope, psi_entry_quad
 
 
 def uniform_raster(n):
@@ -349,6 +350,14 @@ def test_band_checked_before_any_assembly(monkeypatch):
     for band in (0, len(raster) + 1):
         with pytest.raises(ConfigError):
             build_plan(raster, win, (2, 2), band=band)
+
+
+def test_modes_checked_against_raster():
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    raster = jittered_grid(4, 0.25, 5)
+    for modes in (-1, (4, 4)):
+        with pytest.raises(ConfigError, match="modes"):
+            build_plan(raster, win, modes)
 
 
 def _preset_plan(name, seed, methods):

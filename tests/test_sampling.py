@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from gridfr import (ConfigError, add_noise, analytic_coeffs, boxcar_scene,
-                    check_conjugate_symmetry, grid_image_scene, jittered_grid,
-                    load_samples, paper_test_scene, quadrature_coeffs,
-                    save_samples, scene_eval, sine_scene, trig_poly_scene)
+                    grid_image_scene, jittered_grid, load_samples,
+                    paper_test_scene, quadrature_coeffs, save_samples,
+                    scene_eval, sine_scene, trig_poly_scene)
 from gridfr.raster import Raster
+
+from oracles import check_conjugate_symmetry
 
 
 def pts2(*pairs):
