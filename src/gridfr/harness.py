@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -166,6 +168,9 @@ class ExperimentConfig:
         missing = {"name", "dim", "scene", "raster", "window", "modes"} - set(d)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        for key in NUMERIC_FIELDS:
+            if key in d and not (d[key] is None and key in NULLABLE_FIELDS):
+                _check_numeric(d[key], key)
         d = dict(d)
         snr = d.get("snr_db", "inf")
         try:
@@ -176,8 +181,26 @@ class ExperimentConfig:
         return cls(**d)
 
 
+# config fields that hold a number or a list of numbers; some may be null
+NUMERIC_FIELDS = ("dim", "modes", "band", "grid_size", "rtol", "seed",
+                  "quad_nodes")
+NULLABLE_FIELDS = ("modes", "band", "rtol", "quad_nodes")
+
+
+def _check_numeric(value, what: str) -> None:
+    """ConfigError unless `value` is a real number (not a bool) or a
+    possibly nested list of them."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    for v in items:
+        if isinstance(v, (list, tuple)):
+            _check_numeric(v, what)
+        elif not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ConfigError(f"{what} must be numeric, got {value!r}")
+
+
 # per kind of spec, its required keys and its optional keys with their
-# defaults; a window spec has no kind
+# defaults; a window spec has no kind.  Every key other than kind and a
+# trig_poly's coefficients holds a number or a list of numbers.
 SCENE_KEYS = {"paper_test_fn": ((), {}), "sine": ((), {}),
               "boxcar": ((), {"lo": 0.25, "hi": 0.75, "npix": 64}),
               "trig_poly": (("coefficients",), {})}
@@ -193,7 +216,8 @@ def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
     """Returns ``(kind, spec with defaults filled in)``.
 
     `extra` holds optional keys every kind takes, with their defaults.
-    ConfigError on an unknown kind, an unknown key or a missing one.
+    ConfigError on an unknown kind, an unknown key, a missing one, or a
+    non-numeric value (None only where the default is None).
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be an object, got {spec!r}")
@@ -208,6 +232,10 @@ def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
     missing = [k for k in required if k not in spec]
     if missing:
         raise ConfigError(f"missing {what} keys: {missing}")
+    for key, value in spec.items():
+        if key not in ("kind", "coefficients") and not (
+                value is None and optional.get(key, 0) is None):
+            _check_numeric(value, f"{what} {key}")
     return kind, {**optional, **spec}
 
 
@@ -242,7 +270,7 @@ def raster_from_config(spec: dict, seed: int) -> tuple:
         r = sas_wedge(spec["k_min"], spec["k_max"], spec["k_count"],
                       spec["ku_max"], spec["ku_count"])
     if spec["rescale_to"] is not None:
-        return rescale_to_box(r, tuple(spec["rescale_to"]))
+        return rescale_to_box(r, spec["rescale_to"])
     return r, None
 
 
@@ -388,9 +416,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         quad_nodes=config.quad_nodes, rtol=config.rtol, meta=meta))
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
     grid = config.grid_size
-    reference = _reference(json.dumps(config.scene, sort_keys=True),
-                           config.dim, window, plan.modes,
-                           grid if np.isscalar(grid) else tuple(grid))
+    ref_key = (json.dumps(config.scene, sort_keys=True), config.dim, window,
+               plan.modes, grid if np.isscalar(grid) else tuple(grid))
+    reference = _reference(*ref_key)
     scn_img = scene_image(scene, config.grid_size, config.dim)
 
     reports = {}
@@ -415,7 +443,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     if out_dir is not None:
         _write_artifacts(out_dir, config, rast, samples, plan, reference,
-                         scn_img, images, reports)
+                         _reference_csv(*ref_key), scn_img, images, reports)
     return reports
 
 
@@ -429,6 +457,18 @@ def _reference(scene_json: str, dim: int, window: WindowSpec, modes: tuple,
     """
     scene = scene_from_config(json.loads(scene_json), dim)
     return reference_image(scene, window, modes, grid_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_csv(*key) -> str:
+    """reference.csv's text for `_reference(*key)`.
+
+    Only the last text is held (0.8 MB at 128 x 128): a preset's seeds run
+    one after another, so each `run_preset` call formats its reference once.
+    """
+    buf = io.StringIO()
+    save_image_csv(_reference(*key), buf)
+    return buf.getvalue()
 
 
 def _fmt(v):
@@ -445,14 +485,15 @@ METRIC_COLUMNS = ("method", "psnr_db", "psnr_vs_scene_db", "l2_rel",
 
 
 def _write_artifacts(out_dir, config, rast, samples, plan, reference,
-                     scn_img, images, reports):
+                     reference_csv, scn_img, images, reports):
     os.makedirs(out_dir, exist_ok=True)
     join = lambda *p: os.path.join(out_dir, *p)
     with open(join("resolved_config.json"), "w") as fh:
         fh.write(config.to_json() + "\n")
     save_raster(rast, join("raster.csv"))
     save_samples(samples, rast, join("samples.csv"))
-    save_image_csv(reference, join("reference.csv"))
+    with open(join("reference.csv"), "w") as fh:
+        fh.write(reference_csv)
     peak = float(np.abs(reference.values).max())
     save_pgm(reference.values, join("reference.pgm"), peak=peak)
     save_pgm(scn_img.values, join("scene.pgm"), peak=peak)

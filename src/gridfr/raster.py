@@ -20,6 +20,7 @@ Point order conventions (this order is what banded FTCG operators see):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import numbers
 from dataclasses import dataclass, field
@@ -70,8 +71,9 @@ class Raster:
         """Per-axis maximum |coordinate|."""
         return np.array([np.abs(self.coords(a)).max() for a in range(self.dim)])
 
-    @property
+    @functools.cached_property
     def raster_id(self) -> str:
+        """Content hash of the points, computed once per raster."""
         h = hashlib.sha256()
         h.update(f"{self.dim}|{self.kind}|{self.seed}".encode())
         h.update(np.ascontiguousarray(self.points).tobytes())
@@ -201,13 +203,18 @@ def sas_wedge(k_min: float, k_max: float, k_count: int,
 def rescale_to_box(raster: Raster, extents) -> tuple:
     """Affinely map each axis onto [-N_axis, N_axis] (mode index units).
 
-    Returns ``(raster, transform)`` where transform lists per-axis
-    (scale, offset) with new = scale*old + offset.  The reconstruction
-    planner records the transform; sampling must use the rescaled
-    raster so the data matches the index-unit geometry.
+    `extents` is one N per axis, or a single N (scalar or length-1
+    sequence) for every axis.  Returns ``(raster, transform)`` where
+    transform lists per-axis (scale, offset) with new = scale*old +
+    offset.  The reconstruction planner records the transform; sampling
+    must use the rescaled raster so the data matches the index-unit
+    geometry.
     """
-    if np.isscalar(extents):
-        extents = (extents,) * raster.dim
+    extents = np.atleast_1d(np.asarray(extents, dtype=float))
+    if extents.ndim != 1 or extents.size not in (1, raster.dim):
+        raise ConfigError(f"rescale_to needs 1 or {raster.dim} extents, "
+                          f"got {extents.tolist()}")
+    extents = np.broadcast_to(extents, (raster.dim,))
     pts = np.array(raster.points, dtype=float)
     arr = pts.reshape(len(pts), -1)
     transform = []
@@ -221,7 +228,7 @@ def rescale_to_box(raster: Raster, extents) -> tuple:
         arr[:, axis] = scale * arr[:, axis] + offset
         transform.append((scale, offset))
     meta = dict(raster.meta)
-    meta["rescaled_to"] = tuple(float(e) for e in np.atleast_1d(extents))
+    meta["rescaled_to"] = tuple(float(e) for e in extents)
     out = Raster(dim=raster.dim, points=arr.reshape(pts.shape), kind=raster.kind,
                  seed=raster.seed, index_extents=None, meta=meta)
     return out, tuple(transform)

@@ -4,9 +4,11 @@ All three synthesize an image from mode coefficients c as
 
     image(x) = sum_{|m| <= M} c_m exp(2 pi i <m, x>) / w(x)
 
-on a uniform grid (zero-padded inverse FFT, then pointwise division by
-the window).  They differ in how the coefficients come out of the
-scattered Fourier data f_hat(lambda_n):
+on a uniform grid, one axis at a time: image = S_1 C S_2^T with C the
+coefficients as a (2M_1+1) x (2M_2+1) array and S_a[g, m] =
+e^{2 pi i g m / G_a} / w(g / G_a) a per-axis DFT matrix that carries the
+window division (cached per M, G and sigma).  They differ in how the
+coefficients come out of the scattered Fourier data f_hat(lambda_n):
 
 * gridding (cg):   gamma = Omega D f_hat, D diagonal density weights;
 * frame:           beta  = B f_hat with B the truncated pseudo-inverse
@@ -27,8 +29,13 @@ the 2D mode lattice):
     Omega[m, n] = w_hat(m - lambda_n), zero beyond the truncation radius (Q x P)
 
 so T = Psi Omega is P x P and a full band makes C = T^+ collapse FTCG
-onto the frame solve.  Entries separate across axes, so both matrices
-are assembled from per-axis factor tables.
+onto the frame solve.  Entries separate across axes: Psi[n, m] =
+prod_a Psi_a[n, m_a] and Omega[m, n] = prod_a O_a[m_a, n], with per-axis
+tables Psi_a (P x (2M_a+1)) from `build_psi` and O_a ((2M_a+1) x P) from
+`build_omega`.  Only the frame solve needs Psi dense.  Omega is never
+formed: gridding a vector v is ((O_1 * v) @ O_2^T).ravel(), and
+T = (Psi_1 O_1) * (Psi_2 O_2) entrywise, which avoids the P x Q x P
+product.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -40,6 +47,7 @@ reconstruction quality gates in the test suite.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,12 +71,18 @@ class ReconPlan:
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
+    `omega_axes` holds Omega as its per-axis tables O_a, one
+    (2M_a+1) x P array per axis (see the module docstring); `omega`,
+    the dense Q x P matrix, is always None because no method needs it.
+    `psi` is the dense Psi, held only for the frame method.
     `rtol` is the threshold requested of both pseudo-inverses; None lets
     each use `default_rtol` of its own shape, and the applied values are
-    in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta` carries build timings (seconds per stage: psi, drift, omega,
+    in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta`
+    carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
-    their enclosing total), retained-rank info, any raster rescale
-    transform, and quadrature self-check drift.
+    their enclosing total; frame_pinv includes forming the dense Psi),
+    retained-rank info, any raster rescale transform, and quadrature
+    self-check drift.
     """
 
     raster: Raster
@@ -78,12 +92,17 @@ class ReconPlan:
     band: Optional[int] = None
     rtol: Optional[float] = None
     psi: Optional[np.ndarray] = None
-    omega: Optional[np.ndarray] = None
+    omega_axes: Optional[tuple] = None     # cg, ftcg: per-axis Omega tables
     dvec: Optional[np.ndarray] = None      # cg diagonal weights
     bmat: Optional[np.ndarray] = None      # frame: pinv(Psi)
     tmat: Optional[np.ndarray] = None      # Psi @ Omega
     cmat: Optional[np.ndarray] = None      # ftcg: pinv(T o B_r)
     meta: dict = field(default_factory=dict)
+
+    @property
+    def omega(self) -> None:
+        """The dense Omega, which the plan does not hold (see `omega_axes`)."""
+        return None
 
     @property
     def raster_ref(self) -> str:
@@ -156,10 +175,12 @@ def _recip_window_transform(t, window: WindowSpec, nodes: int):
 
 
 def build_psi(raster: Raster, window: WindowSpec, modes=None,
-              quad_nodes: Optional[int] = None) -> np.ndarray:
-    """Cross-Gram of data exponentials against windowed modes (P x Q).
+              quad_nodes: Optional[int] = None) -> tuple:
+    """Per-axis factors of the cross-Gram Psi (P x Q) of data exponentials
+    against windowed modes: one P x (2M_a+1) table Psi_a per axis, with
+    Psi[n, m] = prod_a Psi_a[n, m_a] (`_kron_rows` forms it densely).
 
-    Each per-axis factor is the Gauss-Legendre sum of
+    Each factor is the Gauss-Legendre sum of
     e^{2 pi i (m - lambda) x} / w(x), split as
     e^{-2 pi i lambda x} . e^{2 pi i m x}: one (P x nodes) @ (nodes x 2M+1)
     product per axis, so no P x (2M+1) x nodes table is ever formed.
@@ -175,7 +196,7 @@ def build_psi(raster: Raster, window: WindowSpec, modes=None,
         e_lam = np.exp(-2j * np.pi * np.multiply.outer(raster.coords(axis), xq))
         e_m = np.exp(2j * np.pi * np.multiply.outer(xq, marr))
         factors.append(e_lam @ (vx[:, None] * e_m))
-    return _kron_modes(factors, mode_axis=1)
+    return tuple(factors)
 
 
 def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
@@ -189,11 +210,12 @@ def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
     return float(np.max(np.abs(a - b)))
 
 
-def build_omega(raster: Raster, window: WindowSpec, modes=None) -> np.ndarray:
-    """Window-spectrum gridding matrix (Q x P), truncated beyond K.
+def build_omega(raster: Raster, window: WindowSpec, modes=None) -> tuple:
+    """Per-axis factors of the window-spectrum gridding matrix Omega (Q x P).
 
-    Entry (m, n) is w_hat(m - lambda_n) per axis, set to exact zero
-    where any axis offset exceeds the truncation radius K.
+    Table a is (2M_a+1) x P with entry (m_a, n) = w_hat(m_a - lambda_{n,a}),
+    exact zero where the offset exceeds the truncation radius K; Omega's
+    entry (m, n) is their product over axes.  `_apply_omega` applies it.
     """
     modes = _axis_modes(raster, modes)
     factors = []
@@ -203,22 +225,25 @@ def build_omega(raster: Raster, window: WindowSpec, modes=None) -> np.ndarray:
         f = spectrum_factor(d, window.sigma)
         f[np.abs(d) > window.K] = 0.0
         factors.append(f)
-    return _kron_modes(factors, mode_axis=0)
+    return tuple(factors)
 
 
-def _kron_modes(factors, mode_axis: int) -> np.ndarray:
-    """Tensor-product operator from per-axis factor tables.
-
-    Each table has a point axis and a mode axis (`mode_axis`).  The result
-    is their Kronecker product over the mode axis and their entrywise
-    product over the shared point axis; modes flatten row-major.
-    """
+def _kron_rows(factors) -> np.ndarray:
+    """Dense P x Q operator from per-axis P x (2M_a+1) tables: the Kronecker
+    product over the mode axes, entrywise over the shared point axis, with
+    modes flattened row-major."""
     out = factors[0]
     for f in factors[1:]:
-        out = np.expand_dims(out, mode_axis + 1) * np.expand_dims(f, mode_axis)
-        out = out.reshape(out.shape[:mode_axis] + (-1,)
-                          + out.shape[mode_axis + 2:])
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(out), -1)
     return out
+
+
+def _apply_omega(tables, v) -> np.ndarray:
+    """Omega @ v from Omega's per-axis tables, one axis at a time."""
+    if len(tables) == 1:
+        return tables[0] @ v
+    o1, o2 = tables
+    return ((o1 * v) @ o2.T).ravel()
 
 
 # ------------------------------------------------------------------- plans
@@ -248,7 +273,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["mode_box_warning"] = (
             f"mode box {modes} does not cover data extent {max_abs.round(3)}")
 
-    psi = omega = dvec = bmat = tmat = cmat = None
+    psi = psi_axes = omega_axes = dvec = bmat = tmat = cmat = None
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
 
@@ -256,7 +281,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     needs_omega = bool({"cg", "ftcg"} & set(methods))
     if needs_psi:
         t1 = time.perf_counter()
-        psi = build_psi(raster, window, modes, quad_nodes)
+        psi_axes = build_psi(raster, window, modes, quad_nodes)
         timings["psi"] = time.perf_counter() - t1
         t1 = time.perf_counter()
         drift = psi_quadrature_drift(raster, window, modes, quad_nodes)
@@ -267,17 +292,21 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
                 f"quadrature drift {drift:.2e} above 1e-8; raise quad_nodes")
     if needs_omega:
         t1 = time.perf_counter()
-        omega = build_omega(raster, window, modes)
+        omega_axes = build_omega(raster, window, modes)
         timings["omega"] = time.perf_counter() - t1
     if "cg" in methods:
         t1 = time.perf_counter()
         dvec = density_weights(raster)
         timings["density"] = time.perf_counter() - t1
     # C before B: the masked T's inversion needs the most memory, so it
-    # runs while B is not yet held
+    # runs while neither B nor the dense Psi is held
     if "ftcg" in methods:
         t1 = time.perf_counter()
-        tmat = psi @ omega
+        # T = prod_a Psi_a O_a entrywise, one (P x 2M_a+1) @ (2M_a+1 x P)
+        # product per axis
+        tmat = psi_axes[0] @ omega_axes[0]
+        for p, o in zip(psi_axes[1:], omega_axes[1:]):
+            tmat *= p @ o
         cmat, cinfo = pseudo_inverse(band_mask(tmat, band), rtol)
         timings["ftcg_pinv"] = time.perf_counter() - t1
         meta["c_pinv"] = cinfo
@@ -288,6 +317,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["kept_fraction"] = kept / len(raster) ** 2
     if "frame" in methods:
         t1 = time.perf_counter()
+        psi = _kron_rows(psi_axes)
         bmat, info = pseudo_inverse(psi, rtol)
         timings["frame_pinv"] = time.perf_counter() - t1
         meta["psi_pinv"] = info
@@ -295,13 +325,13 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     timings["total"] = time.perf_counter() - t0
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes
-    for arr in (psi, omega, dvec, bmat, tmat, cmat):
+    for arr in (psi, dvec, bmat, tmat, cmat, *(omega_axes or ())):
         if arr is not None:
             arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
                      methods=methods, band=band, rtol=rtol, psi=psi,
-                     omega=omega, dvec=dvec, bmat=bmat, tmat=tmat, cmat=cmat,
-                     meta=meta)
+                     omega_axes=omega_axes, dvec=dvec, bmat=bmat, tmat=tmat,
+                     cmat=cmat, meta=meta)
 
 
 # ------------------------------------------------------------ coefficients
@@ -319,17 +349,18 @@ def coefficients(plan: ReconPlan, samples: SampleSet,
         raise ConfigError(f"plan was not built for method {method!r}")
     f = samples.values
     if method == "cg":
-        return plan.omega @ (plan.dvec * f)
+        return _apply_omega(plan.omega_axes, plan.dvec * f)
     if method == "frame":
         return plan.bmat @ f
-    return plan.omega @ (plan.cmat @ f)
+    return _apply_omega(plan.omega_axes, plan.cmat @ f)
 
 
-def synthesize(coeffs: np.ndarray, plan: ReconPlan, grid_size=None) -> ImageGrid:
+def synthesize(coeffs: np.ndarray, plan: ReconPlan, grid_size=None,
+               method: str = "") -> ImageGrid:
     """Evaluate sum_m c_m e^{2 pi i <m,x>} / w(x) on the output grid."""
     g = _grid_tuple(grid_size, plan.modes)
     return ImageGrid(values=_synthesize_modes(coeffs, plan.modes, g, plan.window),
-                     grid_size=g, plan_ref=plan.raster_ref)
+                     grid_size=g, method=method, plan_ref=plan.raster_ref)
 
 
 def _grid_tuple(grid_size, modes) -> tuple:
@@ -346,23 +377,31 @@ def _grid_tuple(grid_size, modes) -> tuple:
     return g
 
 
+@functools.lru_cache(maxsize=32)
+def _synthesis_matrix(m: int, g: int, sigma: float) -> np.ndarray:
+    """One axis of synthesis, S[x, k] = e^{2 pi i x k / g} / w(x / g) for
+    x = 0..g-1 and k = -m..m (g x 2m+1, read-only)."""
+    x = np.arange(g)
+    phase = np.multiply.outer(x, np.arange(-m, m + 1)) % g / g
+    s = np.exp(2j * np.pi * phase) / window_values(x / g, sigma)[:, None]
+    s.setflags(write=False)
+    return s
+
+
 def _synthesize_modes(coeffs, modes, grid, window: WindowSpec) -> np.ndarray:
-    shape = tuple(2 * m + 1 for m in modes)
-    arr = np.zeros(grid, dtype=complex)
-    arr[np.ix_(*[np.arange(-m, m + 1) % g for m, g in zip(modes, grid)])] = \
-        np.asarray(coeffs, dtype=complex).reshape(shape)
-    img = np.fft.ifftn(arr) * np.prod(grid)
-    return img / _outer([window_values(np.arange(g) / g, window.sigma)
-                         for g in grid])
+    """S_1 C S_2^T, G(2M+1)(2M+1+G) complex multiply-adds on a G x G grid
+    with 2M+1 modes per axis (G(2M+1) in 1D)."""
+    s = [_synthesis_matrix(m, g, window.sigma) for m, g in zip(modes, grid)]
+    c = np.asarray(coeffs, dtype=complex).reshape(tuple(2 * m + 1
+                                                        for m in modes))
+    return s[0] @ c if len(s) == 1 else s[0] @ c @ s[1].T
 
 
 def reconstruct(method: str, samples: SampleSet, plan: ReconPlan,
                 grid_size=None) -> ImageGrid:
     """coefficients + synthesize, tagged with the method."""
     c = coefficients(plan, samples, method)
-    img = synthesize(c, plan, grid_size)
-    return ImageGrid(values=img.values, grid_size=img.grid_size,
-                     method=method, plan_ref=plan.raster_ref)
+    return synthesize(c, plan, grid_size, method)
 
 
 # ------------------------------------------------------------- references
@@ -423,7 +462,8 @@ def scene_image(scene: Scene, grid_size, dim: int) -> ImageGrid:
 # ------------------------------------------------------------------- files
 
 def save_image_csv(img: ImageGrid, path) -> None:
-    """Real/imag parts side by side, one grid row per line."""
+    """Real/imag parts side by side, one grid row per line; `path` may
+    also be an open text stream."""
     vals = np.atleast_2d(img.values)
     stacked = np.hstack([vals.real, vals.imag])
     np.savetxt(path, stacked, delimiter=",", fmt="%.17g",

@@ -4,10 +4,41 @@ None of these runs in a reconstruction; each recomputes a quantity by a
 slower or more direct route than the package's own.
 """
 
+import functools
+
 import numpy as np
 
 from gridfr.recon import _recip_window_transform
 from gridfr.window import gauss_legendre_01, window_values
+
+
+def dense_psi(tables) -> np.ndarray:
+    """Psi (P x Q) from its per-axis P x (2M_a+1) tables: row-wise
+    Kronecker product, modes flattened row-major."""
+    if len(tables) == 1:
+        return tables[0]
+    return np.einsum("pa,pb->pab", *tables).reshape(len(tables[0]), -1)
+
+
+def dense_omega(tables) -> np.ndarray:
+    """Omega (Q x P) from its per-axis (2M_a+1) x P tables: column-wise
+    Kronecker product, modes flattened row-major."""
+    if len(tables) == 1:
+        return tables[0]
+    return np.einsum("ap,bp->abp", *tables).reshape(-1, tables[0].shape[1])
+
+
+def synthesize_fft(coeffs, modes, grid, sigma) -> np.ndarray:
+    """sum_m c_m e^{2 pi i <m,x>} / w(x) on the grid x_g = g/G: the
+    coefficients scattered into a zero-padded array, an inverse FFT, then
+    division by the window."""
+    shape = tuple(2 * m + 1 for m in modes)
+    arr = np.zeros(grid, dtype=complex)
+    arr[np.ix_(*[np.arange(-m, m + 1) % g for m, g in zip(modes, grid)])] = \
+        np.asarray(coeffs, dtype=complex).reshape(shape)
+    img = np.fft.ifftn(arr) * np.prod(grid)
+    w = [window_values(np.arange(g) / g, sigma) for g in grid]
+    return img / functools.reduce(np.multiply.outer, w)
 
 
 def psi_entry_quad(window, lam, m, nodes: int = 2048) -> complex:

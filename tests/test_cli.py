@@ -46,6 +46,18 @@ def test_metrics_command(tmp_path, capsys):
     assert (tmp_path / "e.pgm").exists()
 
 
+def test_gen_raster_one_rescale_extent_for_every_axis(tmp_path, capsys):
+    out = tmp_path / "a4.csv"
+    assert main(["gen-raster", "--kind", "asterisk", "--rescale-to", "4",
+                 "--out", str(out)]) == 0
+    pts = np.loadtxt(out, delimiter=",", comments="#")
+    np.testing.assert_allclose(pts.min(axis=0), [-4.0, -4.0], rtol=1e-12)
+    np.testing.assert_allclose(pts.max(axis=0), [4.0, 4.0], rtol=1e-12)
+    assert main(["gen-raster", "--kind", "asterisk", "--rescale-to", "4",
+                 "4", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: rescale_to")
+
+
 def test_gen_asterisk_and_wedge(tmp_path):
     a = tmp_path / "a.csv"
     w = tmp_path / "w.csv"
@@ -133,9 +145,22 @@ MALFORMED_CONFIGS = {
 }
 
 
+# each config holds a value of the wrong type in the field it is named after
+WRONG_TYPE_CONFIGS = {
+    "grid_size": _tiny_config(grid_size="abc"),
+    "extents": _tiny_config(raster={"kind": "jittered_grid", "extents": "a"}),
+    "rtol": _tiny_config(rtol="x"),
+    "sigma": _tiny_config(window={"sigma": "a"}),
+    "jitter": _tiny_config(raster={"kind": "jittered_grid", "extents": 8,
+                                   "jitter": "a"}),
+}
+
+
 @pytest.mark.parametrize("field, argv", [
     *(pytest.param(f, ["run", "--config", "{tmp}/" + f + ".json"],
                    id=f"config-{f}") for f in MALFORMED_CONFIGS),
+    *(pytest.param(f, ["run", "--config", "{tmp}/type-" + f + ".json"],
+                   id=f"config-type-{f}") for f in WRONG_TYPE_CONFIGS),
     pytest.param("seed", ["run", "--preset", "noisy-grid", "--seed", "-1"],
                  id="preset-seed"),
     pytest.param("seed", ["gen-raster", "--kind", "jittered", "--seed", "-1",
@@ -147,6 +172,8 @@ MALFORMED_CONFIGS = {
 def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
     for name, cfg in MALFORMED_CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    for name, cfg in WRONG_TYPE_CONFIGS.items():
+        (tmp_path / f"type-{name}.json").write_text(json.dumps(cfg))
     assert main(["gen-raster", "--kind", "jittered", "--extents", "4",
                  "--out", str(tmp_path / "ok.csv")]) == 0
     capsys.readouterr()

@@ -1,9 +1,10 @@
 """Psi assembled as one GEMM per axis equals the direct quadrature sum.
 
-`build_psi` factors e^{2 pi i (m - lambda) x} into e^{-2 pi i lambda x}
-times e^{2 pi i m x} and contracts the nodes with a matrix product; the
-oracle `_recip_window_transform` evaluates the unsplit exponential on
-the same Gauss-Legendre rule.
+`build_psi` returns one factor table per axis.  It factors
+e^{2 pi i (m - lambda) x} into e^{-2 pi i lambda x} times e^{2 pi i m x}
+and contracts the nodes with a matrix product; the oracle
+`_recip_window_transform` evaluates the unsplit exponential on the same
+Gauss-Legendre rule.
 """
 
 import tracemalloc
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from gridfr import build_psi, gaussian_window
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.raster import Raster
-from gridfr.recon import _recip_window_transform, default_quad_nodes
+from gridfr.recon import (_kron_rows, _recip_window_transform,
+                          default_quad_nodes)
 
 # hundredths keep distinct points farther apart than the duplicate tolerance
 coord = st.integers(-6400, 6400).map(lambda k: k / 100.0)
@@ -25,18 +27,17 @@ half_extent = st.integers(0, 32)
 
 def assert_matches_oracle(raster, win, modes):
     nodes = default_quad_nodes(raster, modes)
-    psi = build_psi(raster, win, modes, nodes)
-    f = [_recip_window_transform(
-        np.arange(-m, m + 1)[None, :] - raster.coords(axis)[:, None],
-        win, nodes) for axis, m in enumerate(modes)]
-    want = f[0] if len(f) == 1 else \
-        np.einsum("pa,pb->pab", *f).reshape(psi.shape)
+    tables = build_psi(raster, win, modes, nodes)
+    assert len(tables) == raster.dim
     # rounding in either sum scales with sum_q w_q / w(x_q) = v(0), the
-    # largest entry Psi can have, not with the largest entry of this Psi
-    # (tiny when every point lies far outside the mode box)
+    # largest entry a table can have, not with the largest entry of this
+    # one (tiny when every point lies far outside the mode box)
     v0 = _recip_window_transform(np.zeros(1), win, nodes).real[0]
-    np.testing.assert_allclose(psi, want, rtol=0,
-                               atol=1e-13 * v0 ** len(modes))
+    for axis, (table, m) in enumerate(zip(tables, modes)):
+        want = _recip_window_transform(
+            np.arange(-m, m + 1)[None, :] - raster.coords(axis)[:, None],
+            win, nodes)
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-13 * v0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,7 +65,7 @@ def test_psi_noisy_grid_peak_memory_near_output_size():
     build_psi(raster, win, cfg.modes)      # warm the node cache
     tracemalloc.start()
     try:
-        psi = build_psi(raster, win, cfg.modes)
+        psi = _kron_rows(build_psi(raster, win, cfg.modes))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

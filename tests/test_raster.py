@@ -110,6 +110,21 @@ def test_rescale_to_box():
     np.testing.assert_allclose(out.points[:, 1], s2 * r.points[:, 1] + o2)
 
 
+def test_rescale_to_box_one_extent_for_every_axis():
+    r = asterisk(22, 5, 5.0)
+    want, want_transform = rescale_to_box(r, (4, 4))
+    for extents in (4, [4], (4.0,)):
+        out, transform = rescale_to_box(r, extents)
+        assert np.array_equal(out.points, want.points)
+        assert transform == want_transform
+        assert out.meta["rescaled_to"] == (4.0, 4.0)
+    for extents in ((4, 4, 4), ()):
+        with pytest.raises(ConfigError, match="rescale_to"):
+            rescale_to_box(r, extents)
+    with pytest.raises(ConfigError, match="rescale_to"):
+        rescale_to_box(jittered_grid(4, 0.25, 1), (4, 4))
+
+
 def test_save_load_round_trip(tmp_path):
     for r in (jittered_grid(5, 0.2, 99), asterisk(4, 3, 2.5),
               sas_wedge(1.0, 1.5, 6, 1.0, 5)):

@@ -17,7 +17,7 @@ from gridfr.raster import Raster
 from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
 
-from oracles import admissibility_slope, psi_entry_quad
+from oracles import admissibility_slope, dense_psi, psi_entry_quad
 
 
 def uniform_raster(n):
@@ -27,7 +27,7 @@ def uniform_raster(n):
 def test_omega_uniform_diagonal_is_dc_value():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(6)
-    om = build_omega(r, win, 6)
+    om, = build_omega(r, win, 6)
     dc = np.sqrt(2 * np.pi) * 0.125
     np.testing.assert_allclose(np.diag(om), dc, rtol=1e-14)
 
@@ -35,7 +35,7 @@ def test_omega_uniform_diagonal_is_dc_value():
 def test_omega_truncation_exact_zero():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = uniform_raster(16)
-    om = build_omega(r, win, 16)
+    om, = build_omega(r, win, 16)
     m = np.arange(-16, 17)
     d = np.abs(m[:, None] - r.points[None, :])
     assert np.all(om[d > win.K] == 0)
@@ -47,7 +47,7 @@ def test_omega_quasi_partition_column_sums():
     # window neighbor terms; those sit below 1e-6 for sigma <= ~1/11
     win = gaussian_window(1 / 12, 1e-12, dim=1)
     r = jittered_grid(16, 0.25, 5)
-    om = build_omega(r, win, 16 + win.K)
+    om, = build_omega(r, win, 16 + win.K)
     sums = om.sum(axis=0)
     assert np.max(np.abs(sums - sums.mean())) < 1e-6
     assert abs(sums.mean() - window_values(0.0, 1 / 12)) < 1e-6
@@ -67,7 +67,7 @@ def test_psi_against_adaptive_quadrature():
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(12)))
     lam = rng.uniform(-8, 8, 20)
     r = Raster(dim=1, points=np.sort(lam))
-    psi = build_psi(r, win, 8)
+    psi, = build_psi(r, win, 8)
     modes = np.arange(-8, 9)
     sigma = win.sigma
     for _ in range(20):
@@ -91,14 +91,14 @@ def test_psi_flat_window_orthonormality_hook():
     # Fourier cross-correlation, identity on matched integer offsets
     win = gaussian_window(1e6, 0.5, dim=1)
     r = uniform_raster(4)
-    psi = build_psi(r, win, 4)
+    psi, = build_psi(r, win, 4)
     np.testing.assert_allclose(psi, np.eye(9), atol=1e-12)
 
 
 def test_psi_entry_quad_oracle_agrees():
     win = gaussian_window(0.2, 1e-12, dim=2)
     r = Raster(dim=2, points=np.array([[0.3, -1.2], [2.0, 0.7]]))
-    psi = build_psi(r, win, 3)
+    psi = dense_psi(build_psi(r, win, 3))
     modes = [(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4)]
     k = 17
     val = psi_entry_quad(win, r.points[1], modes[k])
@@ -109,7 +109,8 @@ def test_plan_shapes_1d():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(16, 0.25, 3)
     plan = build_plan(r, win, 16, methods=("cg", "frame", "ftcg"), band=4)
-    assert plan.omega.shape == (33, 33)
+    assert plan.omega is None
+    assert [o.shape for o in plan.omega_axes] == [(33, 33)]
     assert plan.psi.shape == (33, 33)
     assert plan.tmat.shape == (33, 33)
     assert plan.dvec.shape == (33,)
@@ -336,8 +337,17 @@ def test_plan_arrays_read_only():
     plan = build_plan(jittered_grid(6, 0.25, 5), win, 6, band=3)
     with pytest.raises(ValueError):
         plan.psi[0, 0] = 0.0
-    for name in ("omega", "dvec", "bmat", "tmat", "cmat"):
+    for name in ("dvec", "bmat", "tmat", "cmat"):
         assert not getattr(plan, name).flags.writeable
+    win2 = gaussian_window(0.2, 1e-12, dim=2)
+    plan2 = build_plan(asterisk(6, 2, 2.0), win2, (2, 3), band=3)
+    for plan in (plan, plan2):
+        assert plan.omega is None
+        assert len(plan.omega_axes) == plan.raster.dim
+        for table in plan.omega_axes:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
 
 
 def test_band_checked_before_any_assembly(monkeypatch):

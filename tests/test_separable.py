@@ -2,15 +2,21 @@
 
 Psi, Omega and the synthesis step factor over the axes, so a 2D result
 must equal the matching product of the 1D results built from each
-coordinate on its own.
+coordinate on its own, and the per-axis applies of Omega and of the
+synthesis must equal the dense Kronecker Omega and the zero-padded
+inverse FFT they replace.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridfr import build_omega, build_plan, build_psi, gaussian_window, synthesize
+from gridfr import (asterisk, build_omega, build_plan, build_psi,
+                    gaussian_window, synthesize)
 from gridfr.raster import Raster
+from gridfr.recon import _apply_omega, _kron_rows, _synthesize_modes
+
+from oracles import dense_omega, dense_psi, synthesize_fft
 
 QUAD_NODES = 384    # pinned: the default depends on the raster's reach
 
@@ -36,12 +42,13 @@ def test_psi_is_rowwise_kronecker_of_axis_factors(pts, modes):
     r2, (rx, ry) = axis_rasters(pts)
     win1 = gaussian_window(0.2, 1e-12, dim=1)
     win2 = gaussian_window(0.2, 1e-12, dim=2)
-    px = build_psi(rx, win1, modes[0], QUAD_NODES)
-    py = build_psi(ry, win1, modes[1], QUAD_NODES)
-    want = np.einsum("pa,pb->pab", px, py).reshape(len(r2), -1)
-    got = build_psi(r2, win2, modes, QUAD_NODES)
-    np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-13 * np.abs(want).max())
+    px, = build_psi(rx, win1, modes[0], QUAD_NODES)
+    py, = build_psi(ry, win1, modes[1], QUAD_NODES)
+    tables = build_psi(r2, win2, modes, QUAD_NODES)
+    assert np.array_equal(tables[0], px) and np.array_equal(tables[1], py)
+    want = dense_psi((px, py))
+    np.testing.assert_allclose(_kron_rows(tables), want, rtol=0,
+                               atol=1e-15 * np.abs(want).max())
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,13 +57,63 @@ def test_omega_is_columnwise_kronecker_of_axis_factors(pts, modes):
     r2, (rx, ry) = axis_rasters(pts)
     win1 = gaussian_window(0.2, 1e-12, dim=1)
     win2 = gaussian_window(0.2, 1e-12, dim=2)
-    ox = build_omega(rx, win1, modes[0])
-    oy = build_omega(ry, win1, modes[1])
-    want = np.einsum("ap,bp->abp", ox, oy).reshape(-1, len(r2))
-    got = build_omega(r2, win2, modes)
-    np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-15 * np.abs(want).max())
-    assert np.array_equal(got == 0, want == 0)
+    ox, = build_omega(rx, win1, modes[0])
+    oy, = build_omega(ry, win1, modes[1])
+    tables = build_omega(r2, win2, modes)
+    assert np.array_equal(tables[0], ox) and np.array_equal(tables[1], oy)
+
+
+# hundredths keep distinct points farther apart than the duplicate tolerance
+coord = st.integers(-800, 800).map(lambda k: k / 100.0)
+rasters = st.one_of(
+    st.lists(coord, min_size=1, max_size=30, unique=True).map(
+        lambda p: Raster(dim=1, points=np.array(p))),
+    st.lists(st.tuples(coord, coord), min_size=1, max_size=30,
+             unique=True).map(lambda p: Raster(dim=2, points=np.array(p))),
+    st.builds(asterisk, st.integers(2, 8), st.integers(1, 4),
+              st.floats(1.0, 8.0)))
+
+
+def unequal_modes(dim):
+    """Per-axis half-extents, different on the two axes of a 2D raster."""
+    if dim == 1:
+        return st.tuples(st.integers(0, 8))
+    return st.tuples(st.integers(0, 6), st.integers(1, 5)).map(
+        lambda m: (m[0], m[0] + m[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), raster=rasters, seed=st.integers(0, 2**32 - 1),
+       sigma=st.floats(1 / 8, 1 / 4))
+def test_omega_apply_equals_dense_kronecker(data, raster, seed, sigma):
+    modes = data.draw(unequal_modes(raster.dim))
+    win = gaussian_window(sigma, 1e-12, dim=raster.dim)
+    tables = build_omega(raster, win, modes)
+    omega = dense_omega(tables)
+    assert omega.shape == (np.prod([2 * m + 1 for m in modes]), len(raster))
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    v = rng.normal(size=len(raster)) + 1j * rng.normal(size=len(raster))
+    want = omega @ v
+    # the rounding scale of either sum: sum_n |Omega[m, n]| |v_n| per mode
+    scale = np.linalg.norm(np.abs(omega) @ np.abs(v))
+    assert np.linalg.norm(_apply_omega(tables, v) - want) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1), sigma=st.floats(1 / 8, 1 / 4))
+def test_separable_synthesis_equals_padded_ifft(data, dim, seed, sigma):
+    modes = data.draw(unequal_modes(dim))
+    grid = tuple(data.draw(st.integers(2 * m + 1, 4 * (2 * m + 1) + 8))
+                 for m in modes)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    q = int(np.prod([2 * m + 1 for m in modes]))
+    c = rng.normal(size=q) + 1j * rng.normal(size=q)
+    win = gaussian_window(sigma, 1e-12, dim=dim)
+    got = _synthesize_modes(c, modes, grid, win)
+    want = synthesize_fft(c, modes, grid, sigma)
+    assert got.shape == want.shape == grid
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(max_examples=25, deadline=None)
