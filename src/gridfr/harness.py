@@ -26,7 +26,14 @@ sas-wedge rasters therefore build once per call, noisy-grid once per
 seed.  At most one plan is held, it is dropped before another is
 built, and it is released when the call returns.  A seed that reused
 a plan writes ``{"plan_reused": true}`` per method to its
-``timings.json`` instead of build timings.
+``timings.json`` instead of build timings.  When such a seed's config
+differs from the previous seed's only in the seed, and its Fourier data
+equal that seed's bit for bit (asterisk and sas-wedge without noise),
+it is not reconstructed again: it takes the previous seed's metrics
+and copies its artifacts byte for byte, writing only
+``resolved_config.json`` and ``timings.json`` anew.  Noisy data differ
+per seed, so noisy runs are always reconstructed.  Only the previous
+seed's reports, samples and artifact directory are held for this.
 
 Presets
 -------
@@ -47,8 +54,9 @@ import json
 import math
 import numbers
 import os
+import shutil
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -170,7 +178,7 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         for key in NUMERIC_FIELDS:
             if key in d and not (d[key] is None and key in NULLABLE_FIELDS):
-                _check_numeric(d[key], key)
+                _check_numeric(d[key], key, key in INTEGER_FIELDS)
         d = dict(d)
         snr = d.get("snr_db", "inf")
         try:
@@ -181,26 +189,32 @@ class ExperimentConfig:
         return cls(**d)
 
 
-# config fields that hold a number or a list of numbers; some may be null
+# config fields that hold a number or a list of numbers; some may be null,
+# and those that count something hold integers
 NUMERIC_FIELDS = ("dim", "modes", "band", "grid_size", "rtol", "seed",
                   "quad_nodes")
 NULLABLE_FIELDS = ("modes", "band", "rtol", "quad_nodes")
+INTEGER_FIELDS = ("dim", "modes", "band", "grid_size", "seed", "quad_nodes")
 
 
-def _check_numeric(value, what: str) -> None:
+def _check_numeric(value, what: str, integral: bool = False) -> None:
     """ConfigError unless `value` is a real number (not a bool) or a
-    possibly nested list of them."""
+    possibly nested list of them; with `integral`, integers only, so
+    8.0 is refused as well as 8.7."""
     items = value if isinstance(value, (list, tuple)) else [value]
     for v in items:
         if isinstance(v, (list, tuple)):
-            _check_numeric(v, what)
+            _check_numeric(v, what, integral)
         elif not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise ConfigError(f"{what} must be numeric, got {value!r}")
+        elif integral and not isinstance(v, numbers.Integral):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 # per kind of spec, its required keys and its optional keys with their
 # defaults; a window spec has no kind.  Every key other than kind and a
-# trig_poly's coefficients holds a number or a list of numbers.
+# trig_poly's coefficients holds a number or a list of numbers, integers
+# for the keys in INTEGER_KEYS.
 SCENE_KEYS = {"paper_test_fn": ((), {}), "sine": ((), {}),
               "boxcar": ((), {"lo": 0.25, "hi": 0.75, "npix": 64}),
               "trig_poly": (("coefficients",), {})}
@@ -210,14 +224,17 @@ RASTER_KEYS = {"jittered_grid": (("extents",), {"jitter": 0.25,
                "sas_wedge": (("k_min", "k_max", "k_count", "ku_max",
                               "ku_count"), {})}
 WINDOW_KEYS = {None: (("sigma",), {"trunc_eps": DEFAULT_TRUNC_EPS})}
+INTEGER_KEYS = ("npix", "extents", "index_range", "spokes", "radial_count",
+                "k_count", "ku_count")
 
 
 def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
     """Returns ``(kind, spec with defaults filled in)``.
 
     `extra` holds optional keys every kind takes, with their defaults.
-    ConfigError on an unknown kind, an unknown key, a missing one, or a
-    non-numeric value (None only where the default is None).
+    ConfigError on an unknown kind, an unknown key, a missing one, a
+    non-numeric value (None only where the default is None), or a
+    non-integer value of an INTEGER_KEYS key.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be an object, got {spec!r}")
@@ -235,7 +252,7 @@ def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
     for key, value in spec.items():
         if key not in ("kind", "coefficients") and not (
                 value is None and optional.get(key, 0) is None):
-            _check_numeric(value, f"{what} {key}")
+            _check_numeric(value, f"{what} {key}", key in INTEGER_KEYS)
     return kind, {**optional, **spec}
 
 
@@ -374,19 +391,45 @@ def rsweep_config(band: Optional[int], seed: int) -> ExperimentConfig:
 
 # --------------------------------------------------------------------- runs
 
+class _Run(NamedTuple):
+    """One run's config, data, reports, and artifact directory and file
+    names (both None when it wrote none)."""
+
+    config: ExperimentConfig
+    samples: SampleSet
+    reports: dict
+    out_dir: Optional[str]
+    artifacts: tuple
+
+
 class _PlanSlot:
-    """The last plan built and its key; holds at most one plan."""
+    """The last plan built and its key, and the last run on that plan;
+    holds at most one plan."""
 
     def __init__(self):
-        self.key = self.plan = None
+        self.key = self.plan = self.last = None
 
     def get(self, key, build):
         """Returns ``(plan, reused)``, building when `key` is new."""
         if self.plan is not None and self.key == key:
             return self.plan, True
-        self.key = self.plan = None     # release before the next build
+        # release before the next build
+        self.key = self.plan = self.last = None
         self.plan, self.key = build(), key
         return self.plan, False
+
+    def repeat(self, config, samples, out_dir) -> Optional[_Run]:
+        """The last run when a run of `config` on `samples` would repeat
+        it: same config but for the seed, the same data bit for bit, and
+        artifacts to copy if `out_dir` asks for them."""
+        last = self.last
+        if last is None or (out_dir is not None and last.out_dir is None):
+            return None
+        if dataclasses.replace(config, seed=last.config.seed) != last.config:
+            return None
+        if samples.values.tobytes() != last.samples.values.tobytes():
+            return None
+        return last
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
@@ -397,7 +440,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     the artifacts listed in the module docstring.
     With `plans` set, the plan comes from that slot, keyed by raster_id
     and every build_plan argument, so a run on the same raster and plan
-    parameters as the slot's last one reuses its plan.
+    parameters as the slot's last one reuses its plan; and a run that
+    would repeat the slot's last one takes its reports and artifacts
+    (see "Plan reuse" in the module docstring).
     """
     window = window_from_config(config.window, config.dim)
     scene = scene_from_config(config.scene, config.dim)
@@ -411,15 +456,25 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         meta["rescale_transform"] = transform
     key = (rast.raster_id, config.window, config.modes, config.methods,
            config.band, config.quad_nodes, config.rtol, meta)
-    plan, reused = (plans or _PlanSlot()).get(key, lambda: build_plan(
+    plans = plans or _PlanSlot()
+    plan, reused = plans.get(key, lambda: build_plan(
         rast, window, config.modes, config.methods, band=config.band,
         quad_nodes=config.quad_nodes, rtol=config.rtol, meta=meta))
+    last = plans.repeat(config, samples, out_dir) if reused else None
+    if last is not None:
+        reports = {m: dataclasses.replace(r, timings={"plan_reused": True})
+                   for m, r in last.reports.items()}
+        if out_dir is not None:
+            _copy_artifacts(last, out_dir)
+            _write_run_record(out_dir, config, reports)
+        return reports
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
     grid = config.grid_size
-    ref_key = (json.dumps(config.scene, sort_keys=True), config.dim, window,
-               plan.modes, grid if np.isscalar(grid) else tuple(grid))
+    grid = grid if np.isscalar(grid) else tuple(grid)
+    scene_json = json.dumps(config.scene, sort_keys=True)
+    ref_key = (scene_json, config.dim, window, plan.modes, grid)
     reference = _reference(*ref_key)
-    scn_img = scene_image(scene, config.grid_size, config.dim)
+    scn_img = _scene_image(scene_json, config.dim, grid)
 
     reports = {}
     images = {}
@@ -441,9 +496,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             timings=timings,
         )
 
+    artifacts = None
     if out_dir is not None:
-        _write_artifacts(out_dir, config, rast, samples, plan, reference,
-                         _reference_csv(*ref_key), scn_img, images, reports)
+        artifacts = _write_artifacts(out_dir, config, rast, samples, plan,
+                                     reference, _reference_csv(*ref_key),
+                                     scn_img, images, reports)
+        _write_run_record(out_dir, config, reports)
+    plans.last = _Run(config, samples, reports, out_dir, artifacts)
     return reports
 
 
@@ -457,6 +516,15 @@ def _reference(scene_json: str, dim: int, window: WindowSpec, modes: tuple,
     """
     scene = scene_from_config(json.loads(scene_json), dim)
     return reference_image(scene, window, modes, grid_size)
+
+
+@functools.lru_cache(maxsize=4)
+def _scene_image(scene_json: str, dim: int, grid_size) -> ImageGrid:
+    """The raw scene on the image grid, computed once per distinct scene,
+    dimension and grid: it does not depend on the raster, seed or noise.
+    Shared and read-only, like `_reference`'s images."""
+    scene = scene_from_config(json.loads(scene_json), dim)
+    return scene_image(scene, grid_size, dim)
 
 
 @functools.lru_cache(maxsize=1)
@@ -485,11 +553,16 @@ METRIC_COLUMNS = ("method", "psnr_db", "psnr_vs_scene_db", "l2_rel",
 
 
 def _write_artifacts(out_dir, config, rast, samples, plan, reference,
-                     reference_csv, scn_img, images, reports):
+                     reference_csv, scn_img, images, reports) -> tuple:
+    """Writes every artifact but the run record (`_write_run_record`);
+    returns their file names."""
     os.makedirs(out_dir, exist_ok=True)
-    join = lambda *p: os.path.join(out_dir, *p)
-    with open(join("resolved_config.json"), "w") as fh:
-        fh.write(config.to_json() + "\n")
+    names = []
+
+    def join(name):
+        names.append(name)
+        return os.path.join(out_dir, name)
+
     save_raster(rast, join("raster.csv"))
     save_samples(samples, rast, join("samples.csv"))
     with open(join("reference.csv"), "w") as fh:
@@ -512,8 +585,25 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
         for method in config.methods:
             r = reports[method]
             fh.write(",".join(_fmt(getattr(r, c)) for c in METRIC_COLUMNS) + "\n")
-    with open(join("timings.json"), "w") as fh:
+    return tuple(names)
+
+
+def _write_run_record(out_dir, config, reports) -> None:
+    """resolved_config.json and timings.json, the two per-seed files."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
+        fh.write(config.to_json() + "\n")
+    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
         json.dump({m: reports[m].timings for m in reports}, fh, indent=2)
+
+
+def _copy_artifacts(run: _Run, out_dir) -> None:
+    """Copies `run`'s artifacts into `out_dir`, byte for byte."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in run.artifacts:
+        src, dst = (os.path.join(d, name) for d in (run.out_dir, out_dir))
+        if not os.path.exists(dst) or not os.path.samefile(src, dst):
+            shutil.copyfile(src, dst)
 
 
 def run_preset(name: str, seeds=None, out_dir=None,

@@ -5,12 +5,16 @@ Matrices are plain complex numpy arrays throughout, and every
 factorization is one of numpy's LAPACK bindings (LU, QR or SVD).  The
 pseudo-inverse treats singular values below ``rtol * sigma_max`` as
 zero; the default threshold is ``1e-10 * max(rows, cols)``.  A square
-or tall matrix whose LU or QR inverse certifies that no singular value
-falls below the threshold is inverted by that factorization.  A square
-matrix that drops a few singular values well below the kept ones is
-inverted by LU after deflating them; any other matrix takes the
-truncated SVD.  Every factorization reports its retained rank and
-condition number so ill-conditioning is visible instead of silent.
+or tall matrix whose LU or QR inverse certifies, by norm bounds, that
+no singular value falls below the threshold is inverted by that
+factorization.  For a square matrix that drops a few singular values,
+block subspace iteration on its LU inverse finds them; it is inverted
+by LU after deflating them when norm bounds prove that the truncated
+SVD drops exactly those.  Any other matrix takes the truncated SVD, the
+only path that computes all singular values.  Every factorization
+reports its retained rank and condition number (after LU, QR or
+deflation an upper bound) so ill-conditioning is visible instead of
+silent.
 """
 
 from __future__ import annotations
@@ -33,14 +37,18 @@ class PinvInfo:
     """Spectrum bookkeeping for one truncated pseudo-inversion.
 
     `factorization` names the path that ran: "svd", "lu", "qr" or
-    "deflated-lu" (singular values without vectors, then one LU; see
-    `pseudo_inverse`).  After "svd" and "deflated-lu", `sigma_max` and
-    `sigma_min_kept` are the exact largest and smallest retained
-    singular values.  After "lu" or "qr" they are an upper and a lower
-    bound on the extreme singular values, sqrt(|A|_1 |A|_inf) and
-    1/sqrt(|X|_1 |X|_inf) for the inverse X, so `kappa` is an upper
-    bound on the 2-norm condition number (at most sqrt(rows*cols) times
-    it).  `rtol` is the relative threshold the inversion applied.
+    "deflated-lu" (an LU inverse, after deflating the dropped singular
+    values that subspace iteration found; see `pseudo_inverse`).  After
+    "svd", `sigma_max` and `sigma_min_kept` are the exact largest and
+    smallest retained singular values.  After the other three they are
+    an upper and a lower bound on them, so `kappa` is an upper bound on
+    the retained 2-norm condition number.  After "lu" or "qr" the bounds
+    are sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) for the inverse X
+    (`kappa` at most sqrt(rows*cols) times the exact one).  After
+    "deflated-lu" they are |A|_F and 1/|X|_F when nothing was dropped,
+    and otherwise sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) - err
+    for the truncated inverse X and the deflation residual err.  `rtol`
+    is the relative threshold the inversion applied.
     """
 
     rank: int
@@ -62,13 +70,17 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     one by QR (X = R^-1 Q^H).  The result is accepted when the condition
     bound sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) >= kappa_2(A) shows every
     singular value lies above the threshold.  A square matrix whose
-    bound does not certify full rank has its singular values computed
-    (without vectors); when the few it drops lie well apart from the
-    rest, it is deflated on their singular subspaces and inverted by LU
-    (see `_deflated_pinv`).  Any other matrix (an exactly singular
-    factor, a wide matrix, a dropped spectrum that is large or close to
-    the kept one) takes the truncated SVD.  An identically zero matrix
-    (rank collapse) and an SVD that does not converge are NumericalErrors.
+    bound does not certify full rank keeps its LU inverse when the
+    Frobenius bound |A|_F |X|_F does.  Otherwise block subspace
+    iteration on X looks for the few singular values it drops (see
+    `_trailing_subspaces`); the matrix is deflated on their singular
+    subspaces and inverted by LU (see `_deflated_pinv`), and the result
+    is kept when norm bounds prove that the truncated SVD drops exactly
+    those values.  Any other matrix (an exactly singular factor, a wide
+    matrix, a dropped spectrum the iteration does not certify) takes
+    the truncated SVD.  No path but that one computes all singular
+    values.  An identically zero matrix (rank collapse) and an SVD that
+    does not converge are NumericalErrors.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -83,21 +95,33 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     x, info = factored
     if info is not None:
         return x, info
-    # x is an LU inverse the bound could not certify; it is dropped
+    # x is an LU inverse the 1-inf bound could not certify; it is dropped
     # before the next n x n work array is made
     del factored
-    split = _trailing_subspaces(a, x, rtol)
-    if split is None:
-        del x
-        return _svd_pinv(a, rtol)
-    s, rank, v, u = split
-    info = PinvInfo(rank=rank, sigma_max=float(s[0]),
-                    sigma_min_kept=float(s[rank - 1]), rtol=rtol,
-                    factorization="deflated-lu")
-    if v is None:       # the spectrum shows full rank: x is the inverse
+    n = len(a)
+    info = PinvInfo(rank=n, sigma_max=float(np.linalg.norm(a)),
+                    sigma_min_kept=1.0 / float(np.linalg.norm(x)),
+                    rtol=rtol, factorization="deflated-lu")
+    if rtol * info.sigma_max < info.sigma_min_kept:
         return x, info
+    # the largest column 2-norm: a lower bound on sigma_max
+    scale = float(np.linalg.norm(a, axis=0).max())
+    split = _trailing_subspaces(a, x, rtol, scale)
     del x
-    return _deflated_pinv(a, s[0], v, u), info
+    if split is None:
+        return _svd_pinv(a, rtol)
+    v, u, err = split
+    pinv = _deflated_pinv(a, scale, v, u)
+    # a = K + U_d M V_d^H + E with |E| <= err, so each of its n-d largest
+    # singular values is at least sigma_min(K) - err, and pinv = K^+ has
+    # 2-norm 1/sigma_min(K) <= sqrt(|pinv|_1 |pinv|_inf)
+    info = PinvInfo(rank=n - v.shape[1], sigma_max=_norm_1_inf(a),
+                    sigma_min_kept=1.0 / _norm_1_inf(pinv) - err,
+                    rtol=rtol, factorization="deflated-lu")
+    if rtol * info.sigma_max < info.sigma_min_kept:
+        return pinv, info
+    del pinv
+    return _svd_pinv(a, rtol)
 
 
 def _norm_1_inf(a: np.ndarray) -> float:
@@ -111,8 +135,8 @@ def _factored_inverse(a: np.ndarray, rtol: float):
 
     Returns ``(inverse, info)`` for a certified inverse and
     ``(inverse, None)`` for an LU inverse whose condition bound cannot
-    certify full rank at `rtol` (`_trailing_subspaces` may still use
-    it).  Returns None for a wide matrix, an exactly singular factor, a
+    certify full rank at `rtol` (`pseudo_inverse` may still use it).
+    Returns None for a wide matrix, an exactly singular factor, a
     non-finite inverse or an uncertified QR inverse.
     """
     rows, cols = a.shape
@@ -139,55 +163,65 @@ def _factored_inverse(a: np.ndarray, rtol: float):
                        factorization=kind)
 
 
-# The subspace iteration below needs the dropped singular values to sit
-# this far below the smallest kept one; each step then shrinks the kept
-# directions' share of the iterate by its square.
-_DEFLATION_GAP = 1e-3
 _DEFLATION_STEPS = 4
 
 
-def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float):
-    """Singular spectrum of square `a` and its dropped singular subspaces.
+def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
+                        scale: float):
+    """Certified dropped singular subspaces of square `a`.
 
-    `x` is an LU inverse of `a`.  Returns ``(s, rank, v, u)``: all
-    singular values, the rank at `rtol`, and orthonormal bases of the
-    right and left singular subspaces of the d = n - rank dropped
-    values (both None when d = 0).  Returns None when the SVD should
-    decide instead: no value kept, more than n/8 dropped (the
-    iteration's blocks would approach the matrix's own size), a gap
-    narrower than _DEFLATION_GAP, or no convergence in
+    `x` is an LU inverse of `a` and `scale` a lower bound on its largest
+    singular value.  Returns ``(v, u, err)``: orthonormal n x d bases
+    of the right and left singular subspaces of d >= 1 singular values
+    that lie below rtol*sigma_max, and a bound err on the 2-norm of
+    E = A - K - U_d M V_d^H, with K = (I - U_d U_d^H) A (I - V_d V_d^H)
+    and M = U_d^H A V_d.  Returns None when the SVD should decide
+    instead: none of the b Ritz values counts as dropped, all of them do
+    (more values may be dropped), or the subspaces do not converge in
     _DEFLATION_STEPS steps.
 
-    The dropped subspaces are the dominant ones of x = V S^-1 U^H.
-    Subspace iteration on x x^H finds V_d; U_d spans x^H V_d.  The
-    iteration stops when the part of A V_d outside span(U_d) is below
-    100 n eps sigma_max.  Deflating with that residual moves the result
-    by at most about 100 n eps kappa relative to the truncated SVD's,
-    against its own eps kappa.
+    The dropped singular values of A are the dominant ones of
+    X = V S^-1 U^H.  Block subspace iteration V <- qr(X X^H V) on
+    b = min(16, n//8 + 1) columns finds them (Halko, Martinsson & Tropp,
+    "Finding structure with randomness", SIAM Rev. 2011).  Its Ritz
+    values theta, the singular values of X^H V = U' diag(theta) W'^H,
+    interlace: theta_i <= sigma_i(X) = 1/sigma_(n+1-i)(A).  So
+    1/theta_i < rtol*scale proves the i-th smallest singular value of A
+    dropped, and V_d = V W'_d, U_d = U'_d are the top-d Ritz vectors.
+    The iteration stops when the residuals A V_d - U_d M and
+    A^H U_d - V_d M^H, whose norms sum to err, are below
+    100 n eps scale; deflating with them moves the result by at most
+    about 100 n eps kappa relative to the truncated SVD's, against its
+    own eps kappa.  The d smallest singular values of A are then at most
+    |M|_F + err, and the split is returned only when that is below
+    rtol*scale too.
     """
     n = a.shape[0]
-    s = _svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return None
-    rank = int(np.count_nonzero(s > rtol * s[0]))
-    dropped = n - rank
-    if rank == 0 or 8 * dropped > n:
-        return None
-    if dropped == 0:
-        return s, rank, None, None
-    if s[rank] > _DEFLATION_GAP * s[rank - 1]:
-        return None
+    b = min(16, n // 8 + 1)
     rng = philox_rng(n)
-    v = rng.normal(size=(n, dropped))
+    v = rng.normal(size=(n, b))
     if np.iscomplexobj(a):
-        v = v + 1j * rng.normal(size=(n, dropped))
-    tol = 100 * n * np.finfo(float).eps * s[0]
+        v = v + 1j * rng.normal(size=(n, b))
+    tol = 100 * n * np.finfo(float).eps * scale
+    y = x.conj().T @ v
     for _ in range(_DEFLATION_STEPS):
-        v = np.linalg.qr(x @ (x.conj().T @ v))[0]
-        u = np.linalg.qr(x.conj().T @ v)[0]
-        av = a @ v
-        if np.linalg.norm(av - u @ (u.conj().T @ av)) <= tol:
-            return s, rank, v, u
+        v = np.linalg.qr(x @ y)[0]
+        y = x.conj().T @ v
+        u, theta, wh = _svd(y, full_matrices=False)
+        dropped = int(np.count_nonzero(theta * (rtol * scale) > 1.0))
+        if dropped == b:
+            return None
+        if dropped == 0:
+            continue
+        v_d, u_d = v @ wh[:dropped].conj().T, u[:, :dropped]
+        av = a @ v_d
+        m = u_d.conj().T @ av
+        err = float(np.linalg.norm(av - u_d @ m)
+                    + np.linalg.norm(a.conj().T @ u_d - v_d @ m.conj().T))
+        if err <= tol:
+            if np.linalg.norm(m) + err < rtol * scale:
+                return v_d, u_d, err
+            return None
     return None
 
 
@@ -198,10 +232,10 @@ def _deflated_pinv(a: np.ndarray, scale: float, v: np.ndarray,
     `v` and `u` span the right and left singular subspaces of the
     dropped values: A = U_k S_k V_k^H + U_d S_d V_d^H.  The matrix
     B = (I - U_d U_d^H) A (I - V_d V_d^H) + scale U_d V_d^H has singular
-    values S_k and `scale` (sigma_max here), so it is as well conditioned
-    as the kept spectrum, and A_k^+ = B^-1 - V_d U_d^H / scale.  The work
-    arrays are n x n (B, then its inverse) instead of the SVD's five to
-    seven.
+    values S_k and `scale` (between sigma_max/sqrt(n) and sigma_max
+    here), so it is as well conditioned as the kept spectrum, and
+    A_k^+ = B^-1 - V_d U_d^H / scale.  The work arrays are n x n (B,
+    then its inverse) instead of the SVD's five to seven.
     """
     b = a.astype(np.result_type(a, v))
     b -= u @ (u.conj().T @ b)

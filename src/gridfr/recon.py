@@ -17,10 +17,12 @@ coefficients come out of the scattered Fourier data f_hat(lambda_n):
                    the band-masked square system T = Psi Omega.
 
 B and C come from `numerics.pseudo_inverse`: a QR inverse of Psi and an
-LU inverse of the masked T where that certifies full rank at rtol, an
-LU inverse after deflating a few well-separated dropped singular values,
-the truncated SVD otherwise.  `meta["psi_pinv"]` and `meta["c_pinv"]`
-record which factorization ran.
+LU inverse of the masked T where norm bounds certify full rank at rtol;
+an LU inverse after deflating the few dropped singular values that
+subspace iteration on the first LU inverse finds, where norm bounds
+certify that split; the truncated SVD otherwise.  `meta["psi_pinv"]`
+and `meta["c_pinv"]` record which factorization ran, and its retained
+rank and singular values (bounds, except after the SVD).
 
 Matrix conventions (P raster points, Q modes, row-major flattening of
 the 2D mode lattice):

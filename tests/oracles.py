@@ -1,13 +1,17 @@
 """Independent reference computations the tests compare the package against.
 
 None of these runs in a reconstruction; each recomputes a quantity by a
-slower or more direct route than the package's own.
+slower or more direct route than the package's own.  `no_values_only_svd`
+guards a computation instead: it fails any SVD taken without vectors.
 """
 
+import contextlib
 import functools
+from unittest import mock
 
 import numpy as np
 
+from gridfr import numerics
 from gridfr.recon import _recip_window_transform
 from gridfr.window import gauss_legendre_01, window_values
 
@@ -100,3 +104,18 @@ def check_conjugate_symmetry(samples, raster, tol: float = 1e-10) -> bool:
     v = samples.values
     return all(abs(v[j] - np.conj(v[i])) <= tol
                for i, j in _negated_pairs(raster))
+
+
+@contextlib.contextmanager
+def no_values_only_svd():
+    """Within the block, an SVD taken for its singular values alone
+    (``numerics._svd(..., compute_uv=False)``) raises AssertionError."""
+    svd = numerics._svd
+
+    def vectors_only(a, **kwargs):
+        if kwargs.get("compute_uv", True) is False:
+            raise AssertionError("values-only SVD taken")
+        return svd(a, **kwargs)
+
+    with mock.patch.object(numerics, "_svd", vectors_only):
+        yield

@@ -156,11 +156,22 @@ WRONG_TYPE_CONFIGS = {
 }
 
 
+# each config holds a non-integer size in the field it is named after;
+# integral floats such as 8.0 are refused too, as they are for band
+NON_INTEGER_CONFIGS = {
+    "extents": _tiny_config(raster={"kind": "jittered_grid", "extents": 8.7}),
+    "grid_size": _tiny_config(grid_size=64.9),
+    "modes": _tiny_config(modes=8.0),
+}
+
+
 @pytest.mark.parametrize("field, argv", [
     *(pytest.param(f, ["run", "--config", "{tmp}/" + f + ".json"],
                    id=f"config-{f}") for f in MALFORMED_CONFIGS),
     *(pytest.param(f, ["run", "--config", "{tmp}/type-" + f + ".json"],
                    id=f"config-type-{f}") for f in WRONG_TYPE_CONFIGS),
+    *(pytest.param(f, ["run", "--config", "{tmp}/int-" + f + ".json"],
+                   id=f"config-int-{f}") for f in NON_INTEGER_CONFIGS),
     pytest.param("seed", ["run", "--preset", "noisy-grid", "--seed", "-1"],
                  id="preset-seed"),
     pytest.param("seed", ["gen-raster", "--kind", "jittered", "--seed", "-1",
@@ -174,6 +185,8 @@ def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     for name, cfg in WRONG_TYPE_CONFIGS.items():
         (tmp_path / f"type-{name}.json").write_text(json.dumps(cfg))
+    for name, cfg in NON_INTEGER_CONFIGS.items():
+        (tmp_path / f"int-{name}.json").write_text(json.dumps(cfg))
     assert main(["gen-raster", "--kind", "jittered", "--extents", "4",
                  "--out", str(tmp_path / "ok.csv")]) == 0
     capsys.readouterr()

@@ -271,9 +271,28 @@ def test_run_preset_builds_each_distinct_plan_once(monkeypatch, name, seeds,
     assert all(len(reps) == len(seeds) for reps in result["per_seed"].values())
 
 
-def test_run_preset_artifacts_match_run_experiment(tmp_path):
+def _count_reconstructs(monkeypatch):
+    calls = []
+    fresh = harness.reconstruct
+
+    def counting(method, *args, **kwargs):
+        calls.append(method)
+        return fresh(method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "reconstruct", counting)
+    return calls
+
+
+def test_run_preset_artifacts_match_run_experiment(monkeypatch, tmp_path):
+    # noiseless asterisk data do not depend on the seed: the first seed
+    # reconstructs, the others copy its reports and artifacts
     seeds = (101, 103, 105)
-    run_preset("asterisk", seeds, str(tmp_path / "preset"))
+    calls = _count_reconstructs(monkeypatch)
+    result = run_preset("asterisk", seeds, str(tmp_path / "preset"))
+    assert sorted(calls) == ["cg", "frame", "ftcg"]
+    for method, reps in result["per_seed"].items():
+        assert [r.psnr_db for r in reps] == [reps[0].psnr_db] * len(seeds)
+        assert [r.timings for r in reps[1:]] == [{"plan_reused": True}] * 2
     for i, seed in enumerate(seeds):
         alone = tmp_path / "alone" / f"seed{seed}"
         run_experiment(preset_config("asterisk", seed), str(alone))
@@ -287,6 +306,23 @@ def test_run_preset_artifacts_match_run_experiment(tmp_path):
         timings = json.loads((shared / "timings.json").read_text())
         # only the first seed builds; the others say they reused its plan
         assert all(("plan_reused" in t) == (i > 0) for t in timings.values())
+
+
+def test_plan_slot_repeats_only_identical_runs(tmp_path):
+    # a shared slot hands back the last run's reports only when nothing
+    # but the seed changed; another grid size is run afresh, and a run
+    # that asks for artifacts after one that wrote none writes its own
+    slot = harness._PlanSlot()
+    first = run_experiment(preset_config("asterisk", 101), plans=slot)
+    coarse = dataclasses.replace(preset_config("asterisk", 102), grid_size=64)
+    shared = run_experiment(coarse, plans=slot)
+    assert shared["cg"].psnr_db == run_experiment(coarse)["cg"].psnr_db
+    assert shared["cg"].psnr_db != first["cg"].psnr_db
+    out = tmp_path / "seed103"
+    again = run_experiment(dataclasses.replace(coarse, seed=103), str(out),
+                           plans=slot)
+    assert again["cg"].psnr_db == shared["cg"].psnr_db
+    assert (out / "recon_cg.csv").is_file()
 
 
 def test_run_preset_releases_previous_plan(monkeypatch):
@@ -311,9 +347,12 @@ def test_run_preset_releases_previous_plan(monkeypatch):
 
 def test_run_preset_overrides_reuse_plans(monkeypatch):
     # noise changes the data, not the plan; each seed draws its own noise
+    # and is reconstructed
     built = _count_builds(monkeypatch)
+    calls = _count_reconstructs(monkeypatch)
     result = run_preset("asterisk", (101, 102), overrides={"snr_db": 30.0})
     assert len(built) == 1
+    assert len(calls) == 2 * 3
     cg = result["per_seed"]["cg"]
     assert cg[0].psnr_db != cg[1].psnr_db
     assert cg[0].psnr_db == run_experiment(dataclasses.replace(

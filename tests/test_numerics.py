@@ -10,6 +10,8 @@ from gridfr import numerics
 from gridfr.numerics import _svd_pinv, default_rtol, save_magnitude_csv
 from gridfr.raster import Raster
 
+from oracles import no_values_only_svd
+
 
 def test_pinv_identity():
     p, info = pseudo_inverse(np.eye(4))
@@ -113,9 +115,67 @@ def test_pinv_deflated_matches_svd_oracle(kept, log_kappa, log_gap,
     assert info.factorization == "deflated-lu"
     assert info.rank == oinfo.rank == kept
     assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
-    np.testing.assert_allclose([info.sigma_max, info.sigma_min_kept],
-                               [oinfo.sigma_max, oinfo.sigma_min_kept],
-                               rtol=1e-12)
+    _assert_brackets(info, oinfo)
+
+
+def _assert_brackets(info, oinfo):
+    """The reported extremes bound the exact ones (to rounding)."""
+    assert info.sigma_max >= oinfo.sigma_max * (1 - 1e-12)
+    assert info.sigma_min_kept <= oinfo.sigma_min_kept * (1 + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kept=st.integers(8, 48), gap=st.booleans(),
+       log_scale=st.floats(-3.0, 3.0), data=st.data())
+def test_pinv_drops_values_without_values_only_svd(kept, gap, log_scale,
+                                                   data):
+    # 1 <= d <= n/8 values below the threshold, far below the kept ones
+    # or just under the threshold while the kept ones reach down to twice
+    # it; whichever path runs must match the truncated SVD
+    dropped = data.draw(st.integers(1, kept // 7))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = kept + dropped
+    rtol = default_rtol((n, n))
+    log_kappa = data.draw(st.floats(0.0, -np.log10(2 * rtol)))
+    s = np.logspace(0.0, -log_kappa, kept)
+    depth = 10.0 ** -data.draw(st.floats(3.0, 12.0)) if gap else 1.0
+    tail = rtol * depth * rng.uniform(0.0, 0.9, dropped)
+    s = 10.0 ** log_scale * np.concatenate([s, tail])
+    a = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).conj().T
+    with no_values_only_svd():
+        p, info = pseudo_inverse(a)
+    oracle, oinfo = _svd_pinv(a, rtol)
+    assert info.rank == oinfo.rank == kept
+    assert np.linalg.norm(p - oracle) <= \
+        1e-9 * 10.0 ** log_kappa * np.linalg.norm(oracle)
+    _assert_brackets(info, oinfo)
+
+
+def test_pinv_many_dropped_values_take_svd():
+    # n = 40 iterates on b = 6 columns; ten dropped values fill the block,
+    # so the truncated SVD decides, and no values-only SVD runs first
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(8)))
+    s = np.concatenate([np.logspace(0.0, -3.0, 30), np.full(10, 1e-13)])
+    a = (_orthonormal(rng, 40, 40) * s) @ _orthonormal(rng, 40, 40).conj().T
+    with no_values_only_svd():
+        _, info = pseudo_inverse(a)
+    assert info.factorization == "svd" and info.rank == 30
+
+
+def test_trailing_subspaces_checks_drops_on_a():
+    # a bogus inverse that claims a huge singular value along e_0: the
+    # Ritz values count it as dropped, but a itself does not drop it
+    n = 16
+    x = np.eye(n)
+    x[0, 0] = 1e12
+    assert numerics._trailing_subspaces(np.eye(n), x, 1e-9, 1.0) is None
+    # the true inverse of a matrix that does drop it passes
+    a = np.eye(n)
+    a[0, 0] = 1e-12
+    v, u, err = numerics._trailing_subspaces(a, x, 1e-9, 1.0)
+    assert v.shape == u.shape == (n, 1) and err <= 1e-13
+    assert abs(abs(v[0, 0]) - 1.0) < 1e-12 and abs(abs(u[0, 0]) - 1.0) < 1e-12
 
 
 def test_pinv_deflated_takes_no_full_svd(monkeypatch):
@@ -128,15 +188,19 @@ def test_pinv_deflated_takes_no_full_svd(monkeypatch):
     s = np.concatenate([np.logspace(0.0, -3.0, 39), [1e-14]])
     a = (np.linalg.qr(rng.normal(size=(40, 40)))[0] * s) @ \
         np.linalg.qr(rng.normal(size=(40, 40)))[0].T
-    p, info = pseudo_inverse(a)
+    with no_values_only_svd():
+        p, info = pseudo_inverse(a)
     assert p.dtype == np.float64 and info.rank == 39
-    # full rank, but too ill-conditioned for the bound to certify it:
-    # the singular values confirm the rank and the LU inverse is kept
+    # full rank, but too ill-conditioned for the 1-inf bound to certify
+    # it: the Frobenius bound |A|_F |X|_F does, and the LU inverse is kept
     b = (_orthonormal(rng, 40, 40) * np.logspace(0.0, -8.0, 40)) @ \
         _orthonormal(rng, 40, 40).conj().T
-    q, qinfo = pseudo_inverse(b)
+    with no_values_only_svd():
+        q, qinfo = pseudo_inverse(b)
     assert qinfo.factorization == "deflated-lu" and qinfo.rank == 40
-    np.testing.assert_allclose(qinfo.kappa, 1e8, rtol=1e-6)
+    # |A|_F |X|_F lies between kappa_2 = 1e8 and n kappa_2
+    assert 1e8 * (1 - 1e-6) <= qinfo.kappa <= 40 * 1e8
+    assert qinfo.kappa * default_rtol(b.shape) < 1.0
     assert np.linalg.norm(q @ b - np.eye(40)) < 1e-6
 
 
@@ -154,7 +218,7 @@ def test_svd_failure_is_numerical_error(monkeypatch):
     # a wide matrix goes straight to the truncated SVD ...
     with pytest.raises(NumericalError, match="did not converge"):
         pseudo_inverse(np.ones((2, 5)))
-    # ... an uncertified square one first to its singular values
+    # ... an uncertified square one first to its Ritz values
     with pytest.raises(NumericalError, match="did not converge"):
         pseudo_inverse(np.diag(np.r_[np.ones(15), 1e-12]))
     with pytest.raises(NumericalError):

@@ -17,7 +17,8 @@ from gridfr.raster import Raster
 from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
 
-from oracles import admissibility_slope, dense_psi, psi_entry_quad
+from oracles import (admissibility_slope, dense_psi, no_values_only_svd,
+                     psi_entry_quad)
 
 
 def uniform_raster(n):
@@ -382,11 +383,16 @@ def _preset_plan(name, seed, methods):
     ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "qr", "c_pinv": "lu"}),
     ("noisy-grid", 102, ("ftcg",), {"c_pinv": "deflated-lu"}),
     ("sas-wedge", 101, ("frame",), {"psi_pinv": "svd"}),
+    ("asterisk", 101, ("ftcg",), {"c_pinv": "svd"}),
 ])
 def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
     # certified full-rank systems take LU/QR; seed 102's T drops one value
-    # far below the rest and is deflated; sas-wedge's Psi needs the SVD
-    plan = _preset_plan(name, seed, methods)
+    # far below the rest and is deflated; sas-wedge's Psi drops more values
+    # than the subspace iteration's block holds, and asterisk's T keeps a
+    # value too close to the threshold to certify, so both take the SVD.
+    # None of them computes singular values alone.
+    with no_values_only_svd():
+        plan = _preset_plan(name, seed, methods)
     for key, kind in paths.items():
         if key == "psi_pinv":
             got, system = plan.bmat, plan.psi
@@ -397,6 +403,8 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
         oracle, oinfo = _svd_pinv(system, info.rtol)
         assert info.rank == oinfo.rank
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        assert info.sigma_max >= oinfo.sigma_max * (1 - 1e-12)
+        assert info.sigma_min_kept <= oinfo.sigma_min_kept * (1 + 1e-9)
 
 
 @settings(max_examples=20, deadline=None)
