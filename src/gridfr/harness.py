@@ -19,21 +19,24 @@ windowed-partial-sum reference, peak taken from the reference; a
 second column reports the same number against the raw scene so the
 ambiguity between the two yardsticks stays visible.
 
-Plan reuse: `run_preset` builds a plan only when a seed's raster or
-build arguments differ from the previous seed's; otherwise the seed
-reuses that plan, which holds no data.  The seed-free asterisk and
-sas-wedge rasters therefore build once per call, noisy-grid once per
-seed.  At most one plan is held, it is dropped before another is
-built, and it is released when the call returns.  A seed that reused
-a plan writes ``{"plan_reused": true}`` per method to its
-``timings.json`` instead of build timings.  When such a seed's config
-differs from the previous seed's only in the seed, and its Fourier data
-equal that seed's bit for bit (asterisk and sas-wedge without noise),
-it is not reconstructed again: it takes the previous seed's metrics
-and copies its artifacts byte for byte, writing only
-``resolved_config.json`` and ``timings.json`` anew.  Noisy data differ
-per seed, so noisy runs are always reconstructed.  Only the previous
-seed's reports, samples and artifact directory are held for this.
+Plan reuse: `run_preset` and `run_sweep` each keep one store for the
+runs of a call, holding at most one value of each kind: the plan, the
+reference image, the scene image, reference.csv's text and the last
+run.  A value is released before its replacement is made, and the
+store is dropped when the call returns.  A plan is built only when a
+run's raster or build arguments differ from the previous run's;
+otherwise the run reuses that plan, which holds no data.  The seed-free
+asterisk and sas-wedge rasters therefore build once per call,
+noisy-grid once per seed.  A seed that reused a plan writes
+``{"plan_reused": true}`` per method to its ``timings.json`` instead
+of build timings.  When a seed's config differs from the previous
+seed's only in the seed, and its Fourier data equal that seed's bit
+for bit (asterisk and sas-wedge without noise), it is not reconstructed
+again: it takes the previous seed's metrics and copies its artifacts
+byte for byte, writing only ``resolved_config.json`` and
+``timings.json`` anew.  Noisy data differ per seed, so noisy runs are
+always reconstructed.  Only the previous seed's reports and artifact
+directory are held for this.
 
 Presets
 -------
@@ -48,7 +51,6 @@ rsweep-1d    1D band sweep r in {2,4,8,full} on a sine scene, N=16.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -64,11 +66,12 @@ from .errors import ConfigError
 from .numerics import default_band, save_magnitude_csv
 from .raster import (Raster, asterisk, jittered_grid, rescale_to_box,
                      sas_wedge, save_raster)
-from .recon import (ImageGrid, build_plan, reconstruct, reference_image,
-                    scene_image, save_image_csv, save_pgm)
+from .recon import (ImageGrid, _axis_modes, build_plan, reconstruct,
+                    reference_image, scene_image, save_image_csv, save_pgm)
 from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
-                       boxcar_scene, paper_test_scene, quadrature_coeffs,
-                       save_samples, sine_scene, trig_poly_scene)
+                       boxcar_scene, check_snr, paper_test_scene,
+                       quadrature_coeffs, save_samples, sine_scene,
+                       trig_poly_scene)
 from .window import DEFAULT_TRUNC_EPS, WindowSpec, gaussian_window
 
 ERROR_MAP_FLOOR = -16.0
@@ -156,7 +159,7 @@ class ExperimentConfig:
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
         d["methods"] = list(self.methods)
-        d["snr_db"] = "inf" if math.isinf(self.snr_db) else self.snr_db
+        d["snr_db"] = "inf" if self.snr_db == math.inf else self.snr_db
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
@@ -185,6 +188,7 @@ class ExperimentConfig:
             d["snr_db"] = math.inf if snr in ("inf", None) else float(snr)
         except (TypeError, ValueError):
             raise ConfigError(f"snr_db must be a number or 'inf', got {snr!r}")
+        check_snr(d["snr_db"])
         d["methods"] = tuple(d.get("methods", ("cg", "frame", "ftcg")))
         return cls(**d)
 
@@ -306,7 +310,7 @@ def fourier_data(scene: Scene, raster: Raster, snr_db: float,
         samples = quadrature_coeffs(scene, raster)
     else:
         samples = analytic_coeffs(scene, raster)
-    if not math.isinf(snr_db):
+    if snr_db != math.inf:
         samples = add_noise(samples, snr_db, noise_seed)
     return samples
 
@@ -392,57 +396,52 @@ def rsweep_config(band: Optional[int], seed: int) -> ExperimentConfig:
 # --------------------------------------------------------------------- runs
 
 class _Run(NamedTuple):
-    """One run's config, data, reports, and artifact directory and file
-    names (both None when it wrote none)."""
+    """One run's reports, and its artifact directory and file names
+    (both None when it wrote none)."""
 
-    config: ExperimentConfig
-    samples: SampleSet
     reports: dict
     out_dir: Optional[str]
     artifacts: tuple
 
 
-class _PlanSlot:
-    """The last plan built and its key, and the last run on that plan;
-    holds at most one plan."""
+class _Store:
+    """What the runs of one `run_preset` or `run_sweep` call share: the
+    plan, the reference and scene images, reference.csv's text and the
+    last run.  Holds at most one value of each kind, with the key it was
+    made for, and releases a value before it makes the next."""
 
     def __init__(self):
-        self.key = self.plan = self.last = None
+        self._held = {}
 
-    def get(self, key, build):
-        """Returns ``(plan, reused)``, building when `key` is new."""
-        if self.plan is not None and self.key == key:
-            return self.plan, True
-        # release before the next build
-        self.key = self.plan = self.last = None
-        self.plan, self.key = build(), key
-        return self.plan, False
+    def find(self, kind: str, key):
+        """The held `kind` value if it was made for `key`, else None."""
+        held = self._held.get(kind)
+        return held[1] if held is not None and held[0] == key else None
 
-    def repeat(self, config, samples, out_dir) -> Optional[_Run]:
-        """The last run when a run of `config` on `samples` would repeat
-        it: same config but for the seed, the same data bit for bit, and
-        artifacts to copy if `out_dir` asks for them."""
-        last = self.last
-        if last is None or (out_dir is not None and last.out_dir is None):
-            return None
-        if dataclasses.replace(config, seed=last.config.seed) != last.config:
-            return None
-        if samples.values.tobytes() != last.samples.values.tobytes():
-            return None
-        return last
+    def get(self, kind: str, key, make):
+        """`find`'s value, or else `make()`'s, which is then held."""
+        value = self.find(kind, key)
+        if value is None:
+            self._held.pop(kind, None)
+            value = self.put(kind, key, make())
+        return value
+
+    def put(self, kind: str, key, value):
+        self._held[kind] = (key, value)
+        return value
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
-                   plans: Optional[_PlanSlot] = None) -> dict:
+                   store: Optional[_Store] = None) -> dict:
     """Build, sample, reconstruct, measure; optionally write artifacts.
 
     Returns {method: MetricsReport}.  With `out_dir` set, also writes
     the artifacts listed in the module docstring.
-    With `plans` set, the plan comes from that slot, keyed by raster_id
-    and every build_plan argument, so a run on the same raster and plan
-    parameters as the slot's last one reuses its plan; and a run that
-    would repeat the slot's last one takes its reports and artifacts
-    (see "Plan reuse" in the module docstring).
+    With `store` set, the run shares what that store holds: the plan,
+    keyed by raster_id and every build_plan argument; the images, keyed
+    by the scene spec and what else they depend on; and the last run,
+    whose reports and artifacts a run repeating it takes (see "Plan
+    reuse" in the module docstring).
     """
     window = window_from_config(config.window, config.dim)
     scene = scene_from_config(config.scene, config.dim)
@@ -456,11 +455,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         meta["rescale_transform"] = transform
     key = (rast.raster_id, config.window, config.modes, config.methods,
            config.band, config.quad_nodes, config.rtol, meta)
-    plans = plans or _PlanSlot()
-    plan, reused = plans.get(key, lambda: build_plan(
+    store = store or _Store()
+    # neither image depends on the raster, seed or noise; both are shared
+    # between runs and read-only.  They are made before the plan: made
+    # after it, they raised the presets benchmark's peak RSS by 11 MB.
+    modes = _axis_modes(rast, config.modes)
+    grid = config.grid_size
+    grid = grid if np.isscalar(grid) else tuple(grid)
+    ref_key = (config.scene, config.dim, window, modes, grid)
+    reference = store.get("reference", ref_key, lambda: reference_image(
+        scene, window, modes, grid))
+    scn_img = store.get("scene", (config.scene, config.dim, grid),
+                        lambda: scene_image(scene, grid, config.dim))
+    reused = store.find("plan", key) is not None
+    plan = store.get("plan", key, lambda: build_plan(
         rast, window, config.modes, config.methods, band=config.band,
         quad_nodes=config.quad_nodes, rtol=config.rtol, meta=meta))
-    last = plans.repeat(config, samples, out_dir) if reused else None
+    # a repeat: the same plan, config but for the seed, and data, and
+    # artifacts to copy when they are asked for
+    run_key = (key, dataclasses.replace(config, seed=None),
+               samples.values.tobytes(), out_dir is not None)
+    last = store.find("run", run_key)
     if last is not None:
         reports = {m: dataclasses.replace(r, timings={"plan_reused": True})
                    for m, r in last.reports.items()}
@@ -469,12 +484,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             _write_run_record(out_dir, config, reports)
         return reports
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
-    grid = config.grid_size
-    grid = grid if np.isscalar(grid) else tuple(grid)
-    scene_json = json.dumps(config.scene, sort_keys=True)
-    ref_key = (scene_json, config.dim, window, plan.modes, grid)
-    reference = _reference(*ref_key)
-    scn_img = _scene_image(scene_json, config.dim, grid)
 
     reports = {}
     images = {}
@@ -498,44 +507,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     artifacts = None
     if out_dir is not None:
+        ref_csv = store.get("reference.csv", ref_key,
+                            lambda: _csv_text(reference))
         artifacts = _write_artifacts(out_dir, config, rast, samples, plan,
-                                     reference, _reference_csv(*ref_key),
-                                     scn_img, images, reports)
+                                     reference, ref_csv, scn_img, images,
+                                     reports)
         _write_run_record(out_dir, config, reports)
-    plans.last = _Run(config, samples, reports, out_dir, artifacts)
+    store.put("run", run_key, _Run(reports, out_dir, artifacts))
     return reports
 
 
-@functools.lru_cache(maxsize=8)
-def _reference(scene_json: str, dim: int, window: WindowSpec, modes: tuple,
-               grid_size) -> ImageGrid:
-    """The reference image, computed once per distinct scene, window,
-    mode box and grid: it does not depend on the raster, seed or noise.
-
-    The cached ImageGrid is shared between runs; its values are read-only.
-    """
-    scene = scene_from_config(json.loads(scene_json), dim)
-    return reference_image(scene, window, modes, grid_size)
-
-
-@functools.lru_cache(maxsize=4)
-def _scene_image(scene_json: str, dim: int, grid_size) -> ImageGrid:
-    """The raw scene on the image grid, computed once per distinct scene,
-    dimension and grid: it does not depend on the raster, seed or noise.
-    Shared and read-only, like `_reference`'s images."""
-    scene = scene_from_config(json.loads(scene_json), dim)
-    return scene_image(scene, grid_size, dim)
-
-
-@functools.lru_cache(maxsize=1)
-def _reference_csv(*key) -> str:
-    """reference.csv's text for `_reference(*key)`.
-
-    Only the last text is held (0.8 MB at 128 x 128): a preset's seeds run
-    one after another, so each `run_preset` call formats its reference once.
-    """
+def _csv_text(img: ImageGrid) -> str:
+    """`save_image_csv`'s text for `img`."""
     buf = io.StringIO()
-    save_image_csv(_reference(*key), buf)
+    save_image_csv(img, buf)
     return buf.getvalue()
 
 
@@ -619,13 +604,13 @@ def run_preset(name: str, seeds=None, out_dir=None,
     """
     if seeds is None:
         seeds = PRESET_SEEDS[name] if name in PRESET_SEEDS else (0,)
-    plans = _PlanSlot()
+    store = _Store()
     per_seed = {}
     for seed in seeds:
         config = dataclasses.replace(preset_config(name, seed),
                                      **(overrides or {}))
         sub = None if out_dir is None else os.path.join(out_dir, f"seed{seed}")
-        reports = run_experiment(config, sub, plans=plans)
+        reports = run_experiment(config, sub, store)
         for method, rep in reports.items():
             per_seed.setdefault(method, []).append(rep)
     median = {}
@@ -660,11 +645,12 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
         raise ConfigError(f"sweep axis must be 'N' or 'r', got {axis!r}")
     if seeds is None:
         seeds = PRESET_SEEDS[preset]
+    store = _Store()
     values, table = [], {}
     for point in points:
         configs = [make(point, seed) for seed in seeds]
         values.append(point if axis == "N" else configs[0].band)
-        reports = [run_experiment(config) for config in configs]
+        reports = [run_experiment(config, None, store) for config in configs]
         for m in configs[0].methods:
             table.setdefault(m, []).append(float(np.median(
                 [r[m].l2_rel_vs_scene for r in reports])))

@@ -194,7 +194,11 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
     about 100 n eps kappa relative to the truncated SVD's, against its
     own eps kappa.  The d smallest singular values of A are then at most
     |M|_F + err, and the split is returned only when that is below
-    rtol*scale too.
+    rtol*scale too.  Nor is it returned when the next Ritz value shows
+    that `pseudo_inverse` would refuse the deflated inverse: its bound
+    on the smallest kept singular value is at most
+    sigma_(n-d)(A) <= 1/theta_(d+1), and it must exceed
+    rtol*sqrt(|A|_1 |A|_inf).
     """
     n = a.shape[0]
     b = min(16, n // 8 + 1)
@@ -219,7 +223,8 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
         err = float(np.linalg.norm(av - u_d @ m)
                     + np.linalg.norm(a.conj().T @ u_d - v_d @ m.conj().T))
         if err <= tol:
-            if np.linalg.norm(m) + err < rtol * scale:
+            if (np.linalg.norm(m) + err < rtol * scale
+                    and theta[dropped] * rtol * _norm_1_inf(a) < 1.0):
                 return v_d, u_d, err
             return None
     return None

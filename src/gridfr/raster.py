@@ -242,25 +242,29 @@ def save_raster(raster: Raster, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in p) + "\n")
 
 
+def _header_fields(header: str) -> dict:
+    """The ``key=value`` fields of a comma-separated file header line."""
+    pairs = (tok.split("=", 1) for tok in header.split(",") if "=" in tok)
+    return {k.strip(): v.strip() for k, v in pairs}
+
+
 def load_raster(path, dim: Optional[int] = None) -> Raster:
     """Parse a raster file; FormatError carries the offending line number."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
             raise FormatError(f"{path}: line 1: bad header {header!r}")
-        fields = {}
-        for tok in header[len(_HEADER_PREFIX):].split(","):
-            tok = tok.strip()
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                fields[k.strip()] = v.strip()
+        fields = _header_fields(header)
         try:
             fdim = int(fields["dim"])
         except (KeyError, ValueError):
             raise FormatError(f"{path}: line 1: missing/invalid dim")
         kind = fields.get("kind", "custom")
         seed_s = fields.get("seed", "none")
-        seed = None if seed_s == "none" else int(seed_s)
+        try:
+            seed = None if seed_s == "none" else int(seed_s)
+        except ValueError:
+            raise FormatError(f"{path}: line 1: invalid seed {seed_s!r}")
         if dim is not None and dim != fdim:
             raise FormatError(f"{path}: raster is {fdim}D, expected {dim}D")
         pts = []

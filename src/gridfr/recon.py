@@ -56,10 +56,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .numerics import (band_mask, band_pairs, default_band, density_weights,
                        pseudo_inverse)
-from .raster import Raster
+from .raster import Raster, _header_fields
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
                      truncation_radius, window_coefficient, window_values)
@@ -474,18 +474,41 @@ def save_image_csv(img: ImageGrid, path) -> None:
 
 
 def load_image_csv(path) -> ImageGrid:
+    """Parse `save_image_csv`'s format; FormatError carries the offending
+    line number."""
     with open(path) as fh:
         header = fh.readline()
         if "gridfr-image v1" not in header:
-            raise ConfigError(f"{path}: not a gridfr image CSV")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    half = data.shape[1] // 2
-    vals = data[:, :half] + 1j * data[:, half:]
-    if vals.shape[0] == 1:
-        vals = vals[0]
-        shape = (vals.shape[0],)
-    else:
-        shape = vals.shape
+            raise FormatError(f"{path}: line 1: not a gridfr image CSV")
+        fields = _header_fields(header)
+        try:
+            shape = tuple(int(v) for v in fields["shape"].split("x"))
+        except (KeyError, ValueError):
+            raise FormatError(f"{path}: line 1: missing/invalid shape")
+        if len(shape) not in (1, 2) or min(shape) < 1:
+            raise FormatError(f"{path}: line 1: invalid shape {shape}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split(",")
+            if len(cols) != 2 * shape[-1]:
+                raise FormatError(f"{path}: line {lineno}: expected "
+                                  f"{2 * shape[-1]} columns, got {len(cols)}")
+            try:
+                row = np.array(cols, dtype=float)
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: unparsable value")
+            if not np.all(np.isfinite(row)):
+                raise FormatError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
+    if len(rows) != (shape[0] if len(shape) == 2 else 1):
+        raise FormatError(f"{path}: line 1: shape {fields['shape']} does "
+                          f"not match the {len(rows)} rows below")
+    data = np.array(rows)
+    half = shape[-1]
+    vals = (data[:, :half] + 1j * data[:, half:]).reshape(shape)
     return ImageGrid(values=vals, grid_size=shape, method="file")
 
 

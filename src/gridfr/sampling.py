@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .raster import Raster, philox_rng
+from .raster import Raster, _header_fields, philox_rng
 from .window import gauss_legendre_01
 
 _HEADER_PREFIX = "# gridfr-samples v1"
@@ -240,15 +240,24 @@ def _panel_rule(shape, reach: float, nodes_per_axis: int = 0):
     return rule
 
 
+def check_snr(snr_db: float) -> None:
+    """ConfigError unless `snr_db` is a finite number or +inf (noiseless)."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ConfigError(f"snr_db must be a finite number or +inf, "
+                          f"got {snr_db}")
+
+
 def add_noise(samples: SampleSet, snr_db: float, seed: int) -> SampleSet:
     """Add circular complex Gaussian noise at the given SNR (dB).
 
-    snr_db = +inf returns the input unchanged.  Deterministic per seed
-    (Philox).  Raises on an all-zero signal with finite SNR.
+    snr_db = +inf returns the input unchanged; NaN and -inf are
+    ConfigErrors.  Deterministic per seed (Philox).  Raises on an
+    all-zero signal with finite SNR.
     """
     if len(samples) == 0:
         raise ConfigError("empty sample set")
-    if np.isinf(snr_db):
+    check_snr(snr_db)
+    if snr_db == np.inf:
         return samples
     p_signal = float(np.mean(np.abs(samples.values) ** 2))
     if p_signal == 0.0:
@@ -276,10 +285,17 @@ def save_samples(samples: SampleSet, raster: Raster, path) -> None:
 
 
 def load_samples(path, raster: Raster) -> SampleSet:
+    """Parse a sample file taken on `raster`; FormatError carries the
+    offending line number, and names both raster ids when the header's
+    is not `raster`'s."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
             raise FormatError(f"{path}: line 1: bad header")
+        taken_on = _header_fields(header).get("raster")
+        if taken_on != raster.raster_id:
+            raise FormatError(f"{path}: line 1: samples taken on raster "
+                              f"{taken_on}, not on raster {raster.raster_id}")
         vals = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -293,9 +309,10 @@ def load_samples(path, raster: Raster) -> SampleSet:
                 nums = [float(c) for c in cols]
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: unparsable value")
+            if not all(np.isfinite(nums)):
+                raise FormatError(f"{path}: line {lineno}: non-finite value")
             vals.append(complex(nums[-2], nums[-1]))
     if len(vals) != len(raster):
         raise FormatError(f"{path}: {len(vals)} rows for {len(raster)}-point raster")
     return SampleSet(raster_ref=raster.raster_id, values=np.array(vals),
                      provenance="file")
-

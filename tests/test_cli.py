@@ -165,6 +165,26 @@ NON_INTEGER_CONFIGS = {
 }
 
 
+IMAGE_HEADER = "# gridfr-image v1, shape=2x2, method=frame\n"
+
+# each file is malformed as its name says
+MALFORMED_FILES = {
+    "image-value.csv": IMAGE_HEADER + "1,2,3,4\n1,x,3,4\n",
+    "image-columns.csv": IMAGE_HEADER + "1,2,3,4\n1,2,3,4,5\n",
+    "image-shape.csv": IMAGE_HEADER + "1,2,3,4\n",
+    "image-header.csv": "# gridfr-image v1, shape=2by2\n1,2,3,4\n1,2,3,4\n",
+    "raster-seed.csv": "# gridfr-raster v1, dim=1, kind=custom, seed=1.5\n"
+                       "0.5\n",
+    "samples-raster.csv": "# gridfr-samples v1, raster=0123456789abcdef\n"
+                          + "0,1,0\n" * 9,
+}
+
+
+def _metrics(name):
+    return ["metrics", "--recon", "{tmp}/" + name,
+            "--reference", "{tmp}/" + name]
+
+
 @pytest.mark.parametrize("field, argv", [
     *(pytest.param(f, ["run", "--config", "{tmp}/" + f + ".json"],
                    id=f"config-{f}") for f in MALFORMED_CONFIGS),
@@ -179,6 +199,25 @@ NON_INTEGER_CONFIGS = {
     pytest.param("seed", ["sample", "--raster", "{tmp}/ok.csv", "--scene",
                           "sine", "--snr", "30", "--seed", "-3",
                           "--out", "{tmp}/s.csv"], id="sample-seed"),
+    pytest.param("snr_db", ["sample", "--raster", "{tmp}/ok.csv", "--scene",
+                            "sine", "--snr", "nan", "--out", "{tmp}/s.csv"],
+                 id="sample-snr-nan"),
+    pytest.param("samples-raster.csv: line 1: samples taken on raster "
+                 "0123456789abcdef",
+                 ["reconstruct", "--raster", "{tmp}/ok.csv", "--samples",
+                  "{tmp}/samples-raster.csv", "--out", "{tmp}/rec"],
+                 id="samples-other-raster"),
+    pytest.param("image-value.csv: line 3: unparsable",
+                 _metrics("image-value.csv"), id="image-value"),
+    pytest.param("image-columns.csv: line 3: expected 4 columns, got 5",
+                 _metrics("image-columns.csv"), id="image-columns"),
+    pytest.param("image-shape.csv: line 1: shape 2x2",
+                 _metrics("image-shape.csv"), id="image-shape"),
+    pytest.param("image-header.csv: line 1: missing/invalid shape",
+                 _metrics("image-header.csv"), id="image-header"),
+    pytest.param("raster-seed.csv: line 1: invalid seed",
+                 ["sample", "--raster", "{tmp}/raster-seed.csv",
+                  "--out", "{tmp}/s.csv"], id="raster-seed"),
 ])
 def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
     for name, cfg in MALFORMED_CONFIGS.items():
@@ -187,6 +226,8 @@ def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
         (tmp_path / f"type-{name}.json").write_text(json.dumps(cfg))
     for name, cfg in NON_INTEGER_CONFIGS.items():
         (tmp_path / f"int-{name}.json").write_text(json.dumps(cfg))
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
     assert main(["gen-raster", "--kind", "jittered", "--extents", "4",
                  "--out", str(tmp_path / "ok.csv")]) == 0
     capsys.readouterr()

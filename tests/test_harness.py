@@ -64,6 +64,17 @@ def test_config_validation():
             "asterisk", 1).to_json()), "bogus_key": 1})
 
 
+@pytest.mark.parametrize("snr", [math.nan, -math.inf, "nan", "-inf"])
+def test_config_rejects_nan_and_negative_infinite_snr(snr):
+    d = {**json.loads(preset_config("asterisk", 1).to_json()), "snr_db": snr}
+    with pytest.raises(ConfigError, match="snr_db"):
+        ExperimentConfig.from_dict(d)
+    # +inf is noiseless, however it is spelled
+    for inf in ("inf", math.inf, None):
+        assert ExperimentConfig.from_dict({**d, "snr_db": inf}).snr_db == \
+            math.inf
+
+
 def test_scene_from_config_kinds():
     assert scene_from_config({"kind": "paper_test_fn"}, 2).kind == "paper_test_fn"
     assert scene_from_config({"kind": "sine"}, 1).dim == 1
@@ -216,17 +227,15 @@ def test_sweep_reference_computed_once(monkeypatch, axis):
         return fresh(*args)
 
     monkeypatch.setattr(harness, "reference_image", counting)
-    harness._reference.cache_clear()
     table = run_sweep(axis)["table"]
     # every sweep point shares scene, window, mode box and grid
     assert len(calls) == 1
     for m, row in SWEEP_TABLES[axis].items():
         np.testing.assert_allclose(table[m], row, rtol=1e-9, atol=0)
-    # without the cache every point computes its own, with the same result
-    monkeypatch.setattr(harness, "_reference", harness._reference.__wrapped__)
+    # the image is not kept between calls: the next computes its own,
+    # with the same result
     assert run_sweep(axis)["table"] == table
-    seeds = harness.PRESET_SEEDS["sweep-1d" if axis == "N" else "rsweep-1d"]
-    assert len(calls) == 1 + 4 * len(seeds)
+    assert len(calls) == 2
 
 
 def test_sweep_bad_axis():
@@ -308,21 +317,28 @@ def test_run_preset_artifacts_match_run_experiment(monkeypatch, tmp_path):
         assert all(("plan_reused" in t) == (i > 0) for t in timings.values())
 
 
-def test_plan_slot_repeats_only_identical_runs(tmp_path):
-    # a shared slot hands back the last run's reports only when nothing
+def test_store_repeats_only_identical_runs(monkeypatch, tmp_path):
+    # a shared store hands back the last run's reports only when nothing
     # but the seed changed; another grid size is run afresh, and a run
     # that asks for artifacts after one that wrote none writes its own
-    slot = harness._PlanSlot()
-    first = run_experiment(preset_config("asterisk", 101), plans=slot)
+    store = harness._Store()
+    first = run_experiment(preset_config("asterisk", 101), None, store)
     coarse = dataclasses.replace(preset_config("asterisk", 102), grid_size=64)
-    shared = run_experiment(coarse, plans=slot)
+    shared = run_experiment(coarse, None, store)
     assert shared["cg"].psnr_db == run_experiment(coarse)["cg"].psnr_db
     assert shared["cg"].psnr_db != first["cg"].psnr_db
     out = tmp_path / "seed103"
     again = run_experiment(dataclasses.replace(coarse, seed=103), str(out),
-                           plans=slot)
+                           store)
     assert again["cg"].psnr_db == shared["cg"].psnr_db
     assert (out / "recon_cg.csv").is_file()
+    # the next seed repeats that run: no reconstruction, its files copied
+    calls = _count_reconstructs(monkeypatch)
+    run_experiment(dataclasses.replace(coarse, seed=104),
+                   str(tmp_path / "seed104"), store)
+    assert calls == []
+    assert (tmp_path / "seed104" / "recon_cg.csv").read_bytes() == \
+        (out / "recon_cg.csv").read_bytes()
 
 
 def test_run_preset_releases_previous_plan(monkeypatch):
@@ -343,6 +359,27 @@ def test_run_preset_releases_previous_plan(monkeypatch):
     run_preset("sweep", (11, 12, 13))
     assert len(plans) == 3
     assert all(ref() is None for ref in plans)
+
+
+@pytest.mark.parametrize("call", [
+    lambda out: run_preset("asterisk", (101, 102), str(out)),
+    lambda out: run_sweep("r", (11, 12), str(out / "sweep.csv")),
+], ids=["run_preset", "run_sweep"])
+def test_store_released_on_return(monkeypatch, tmp_path, call):
+    # the plans and images a call's store held are unreachable once the
+    # call returns
+    made = {}
+    for name in ("build_plan", "reference_image", "scene_image"):
+        def tracking(*args, name=name, fresh=getattr(harness, name),
+                     **kwargs):
+            value = fresh(*args, **kwargs)
+            made.setdefault(name, []).append(weakref.ref(value))
+            return value
+
+        monkeypatch.setattr(harness, name, tracking)
+    call(tmp_path)
+    assert len(made) == 3
+    assert all(ref() is None for refs in made.values() for ref in refs)
 
 
 def test_run_preset_overrides_reuse_plans(monkeypatch):

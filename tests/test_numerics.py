@@ -204,6 +204,24 @@ def test_pinv_deflated_takes_no_full_svd(monkeypatch):
     assert np.linalg.norm(q @ b - np.eye(40)) < 1e-6
 
 
+def test_pinv_uncertifiable_kept_value_skips_deflation(monkeypatch):
+    # one value far below the threshold is dropped, but the smallest kept
+    # one lies just above it: the next Ritz value shows the deflated
+    # inverse could not be certified, so the SVD runs without it
+    def fail(*args, **kwargs):
+        raise AssertionError("deflated inverse built")
+
+    monkeypatch.setattr(numerics, "_deflated_pinv", fail)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(7)))
+    rtol = default_rtol((40, 40))
+    s = np.concatenate([np.logspace(0.0, np.log10(1.01 * rtol), 39), [1e-14]])
+    a = (_orthonormal(rng, 40, 40) * s) @ _orthonormal(rng, 40, 40).conj().T
+    p, info = pseudo_inverse(a)
+    oracle, oinfo = _svd_pinv(a, rtol)
+    assert info.factorization == "svd" and info.rank == oinfo.rank == 39
+    assert np.linalg.norm(p - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 def test_pinv_records_applied_rtol():
     assert pseudo_inverse(np.eye(3))[1].rtol == default_rtol((3, 3))
     assert pseudo_inverse(np.ones((1, 4)))[1].rtol == default_rtol((1, 4))

@@ -428,3 +428,14 @@ def test_frame_independent_of_point_order(kind, seed):
         betas.append(coefficients(plan, analytic_coeffs(scene, r)))
     assert np.linalg.norm(betas[1] - betas[0]) <= \
         1e-10 * np.linalg.norm(betas[0])
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 6), (1, 5)])
+def test_image_csv_round_trip(tmp_path, shape):
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    path = tmp_path / "img.csv"
+    recon.save_image_csv(recon.ImageGrid(values=vals, grid_size=shape), path)
+    back = recon.load_image_csv(path)
+    assert back.grid_size == shape
+    np.testing.assert_array_equal(back.values, vals)

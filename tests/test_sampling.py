@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfr import (ConfigError, add_noise, analytic_coeffs, boxcar_scene,
+from gridfr import (ConfigError, FormatError, add_noise, analytic_coeffs, boxcar_scene,
                     grid_image_scene, jittered_grid, load_samples,
                     paper_test_scene, quadrature_coeffs, save_samples,
                     scene_eval, sine_scene, trig_poly_scene)
@@ -161,6 +161,13 @@ def test_noise_infinite_snr_identity():
     assert add_noise(s, np.inf, 1) is s
 
 
+@pytest.mark.parametrize("snr", [np.nan, -np.inf])
+def test_noise_rejects_nan_and_negative_infinite_snr(snr):
+    s = analytic_coeffs(sine_scene(), jittered_grid(4, 0.2, 3))
+    with pytest.raises(ConfigError, match="snr_db"):
+        add_noise(s, snr, 1)
+
+
 def test_noise_zero_db_power():
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(9)))
     vals = np.exp(1j * rng.uniform(0, 2 * np.pi, 20000))
@@ -194,3 +201,24 @@ def test_samples_round_trip(tmp_path):
     back = load_samples(path, r)
     np.testing.assert_array_equal(back.values, s.values)
     assert back.raster_ref == r.raster_id
+
+
+def test_samples_bound_to_their_raster(tmp_path):
+    # samples taken on the seed-5 raster do not load against seed 6's
+    r5, r6 = jittered_grid(5, 0.25, 5), jittered_grid(5, 0.25, 6)
+    path = tmp_path / "s.csv"
+    save_samples(analytic_coeffs(sine_scene(), r5), r5, path)
+    with pytest.raises(FormatError, match="line 1") as exc:
+        load_samples(path, r6)
+    assert r5.raster_id in str(exc.value) and r6.raster_id in str(exc.value)
+
+
+def test_samples_non_finite_value_rejected(tmp_path):
+    r = jittered_grid(2, 0.25, 5)
+    path = tmp_path / "s.csv"
+    save_samples(analytic_coeffs(sine_scene(), r), r, path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="line 4: non-finite"):
+        load_samples(path, r)
