@@ -10,9 +10,8 @@ raster.csv, samples.csv, reference.csv/.pgm, scene.pgm, per method
 recon_<m>.csv/.pgm and error_<m>.pgm (log10 |recon - reference|),
 metrics.csv (METRIC_COLUMNS, a row per method) and timings.json.  With
 ftcg, tmatrix.pgm shows all of |T| for T = Psi Omega, and tmatrix.csv
-lists the entries the band keeps: a ``# gridfr-tmatrix v1, order=P,
-band=r`` line, then ``i,j,|T_ij|`` for each pair |i-j| <= r-1 in
-row-major order, with zero-based indices and ``%.8e`` magnitudes.
+lists the entries the band keeps.  The CSV formats are described in
+`raster`.
 
 PSNR convention: computed on the complex difference against the
 windowed-partial-sum reference, peak taken from the reference; a

@@ -305,11 +305,8 @@ def band_mask(a: np.ndarray, r: int) -> np.ndarray:
 
 
 def save_magnitude_csv(a: np.ndarray, band: int, path) -> None:
-    """Write |a| at the `band_pairs` entries of square `a`.
-
-    A ``# gridfr-tmatrix v1, order=P, band=r`` line, then ``i,j,|a_ij|``
-    per entry in row-major order: zero-based indices, ``%.8e`` magnitude.
-    """
+    """Write |a| at the `band_pairs` entries of square `a` in the tmatrix
+    CSV format (see `raster`)."""
     a = np.asarray(a)
     rows, cols = band_pairs(_square_order(a, "save_magnitude_csv"), band)
     np.savetxt(path, np.column_stack([rows, cols, np.abs(a[rows, cols])]),

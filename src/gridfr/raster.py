@@ -4,10 +4,22 @@ A Raster is an ordered, immutable set of wavenumber-domain sample
 locations.  Reproducibility across platforms comes from the counter
 based Philox generator seeded with a 64-bit key.
 
-File format (``save_raster``/``load_raster``)::
+File formats.  Each gridfr CSV file starts with a ``# gridfr-<kind> v1``
+line of ``key=value`` fields, then holds one row of comma-separated
+numbers per line; floats have 17 significant digits, so they read back
+bit for bit.  `save_raster`, `sampling.save_samples`,
+`recon.save_image_csv` and `numerics.save_magnitude_csv` write the four
+kinds; `read_rows` reads the first three and skips blank and ``#`` lines::
 
-    # gridfr-raster v1, dim=<d>, kind=<k>, seed=<s>
-    kx[,ky]        one point per line, >=17 significant digits
+    # gridfr-raster v1, dim=<d>, kind=<k>, seed=<s|none>
+    kx[,ky]                   one point per line
+    # gridfr-samples v1, raster=<raster_id>
+    kx[,ky],re,im             one line per raster point, in its order
+    # gridfr-image v1, shape=<G1>[x<G2>], method=<m>
+    re_1..re_G,im_1..im_G     one grid row per line, G = last axis
+    # gridfr-tmatrix v1, order=<P>, band=<r>
+    i,j,|T_ij|                each pair |i-j| <= r-1 in row-major order,
+                              zero-based indices, %.8e magnitudes
 
 Point order conventions (this order is what banded FTCG operators see):
 
@@ -30,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 
-_HEADER_PREFIX = "# gridfr-raster v1"
 _DUPLICATE_TOL = 1e-12
 
 
@@ -235,11 +246,13 @@ def rescale_to_box(raster: Raster, extents) -> tuple:
 
 
 def save_raster(raster: Raster, path) -> None:
+    seed = raster.seed if raster.seed is not None else "none"
+    # savetxt gets an open file: given the path, it reopens it through
+    # numpy's DataSource, and presets' peak RSS read 157 MB, not 147
     with open(path, "w") as fh:
-        seed = raster.seed if raster.seed is not None else "none"
-        fh.write(f"{_HEADER_PREFIX}, dim={raster.dim}, kind={raster.kind}, seed={seed}\n")
-        for p in np.atleast_2d(raster.points.reshape(len(raster), -1)):
-            fh.write(",".join(f"{v:.17g}" for v in p) + "\n")
+        np.savetxt(fh, raster.points.reshape(len(raster), -1), fmt="%.17g",
+                   delimiter=",", header=f"gridfr-raster v1, dim={raster.dim}, "
+                                         f"kind={raster.kind}, seed={seed}")
 
 
 def _header_fields(header: str) -> dict:
@@ -248,42 +261,64 @@ def _header_fields(header: str) -> dict:
     return {k.strip(): v.strip() for k, v in pairs}
 
 
-def load_raster(path, dim: Optional[int] = None) -> Raster:
-    """Parse a raster file; FormatError carries the offending line number."""
+def read_rows(path, kind: str, columns) -> tuple:
+    """Header fields and float rows of a ``# gridfr-<kind> v1`` file.
+
+    `columns(fields)` checks the header's ``key=value`` fields and returns
+    the column count every row must have.  Blank and ``#`` lines are
+    skipped.  Returns ``(fields, rows)``, rows an (n, columns) array.  A
+    bad header line, a wrong column count, an unparsable value and a
+    non-finite value are FormatErrors that name the path and line.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise FormatError(f"{path}: line 1: bad header {header!r}")
+        if header.split(",", 1)[0].rstrip() != f"# gridfr-{kind} v1":
+            raise FormatError(f"{path}: line 1: bad header {header!r}, "
+                              f"expected '# gridfr-{kind} v1'")
         fields = _header_fields(header)
-        try:
-            fdim = int(fields["dim"])
-        except (KeyError, ValueError):
-            raise FormatError(f"{path}: line 1: missing/invalid dim")
-        kind = fields.get("kind", "custom")
-        seed_s = fields.get("seed", "none")
-        try:
-            seed = None if seed_s == "none" else int(seed_s)
-        except ValueError:
-            raise FormatError(f"{path}: line 1: invalid seed {seed_s!r}")
-        if dim is not None and dim != fdim:
-            raise FormatError(f"{path}: raster is {fdim}D, expected {dim}D")
-        pts = []
+        ncols = columns(fields)
+        rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cols = line.split(",")
-            if len(cols) != fdim:
-                raise FormatError(f"{path}: line {lineno}: expected {fdim} "
-                                  f"coordinates, got {len(cols)}")
+            if len(cols) != ncols:
+                raise FormatError(f"{path}: line {lineno}: expected {ncols} "
+                                  f"columns, got {len(cols)}")
             try:
-                vals = [float(c) for c in cols]
+                row = [float(c) for c in cols]
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: unparsable value")
-            if not all(np.isfinite(v) for v in vals):
-                raise FormatError(f"{path}: line {lineno}: non-finite coordinate")
-            pts.append(vals)
-        if not pts:
-            raise FormatError(f"{path}: no points")
-    arr = np.array(pts)
-    return Raster(dim=fdim, points=arr, kind=kind, seed=seed)
+            if not np.all(np.isfinite(row)):
+                raise FormatError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
+    return fields, np.array(rows, dtype=float).reshape(len(rows), ncols)
+
+
+def _raster_dim(path, fields: dict, dim: Optional[int]) -> int:
+    """The header's ``dim``, which must be `dim` when that is given."""
+    try:
+        fdim = int(fields["dim"])
+    except (KeyError, ValueError):
+        fdim = 0
+    if fdim < 1:
+        raise FormatError(f"{path}: line 1: missing/invalid dim")
+    if dim is not None and dim != fdim:
+        raise FormatError(f"{path}: raster is {fdim}D, expected {dim}D")
+    return fdim
+
+
+def load_raster(path, dim: Optional[int] = None) -> Raster:
+    """Parse a raster file; FormatError carries the offending line number."""
+    fields, pts = read_rows(path, "raster",
+                            lambda f: _raster_dim(path, f, dim))
+    seed_s = fields.get("seed", "none")
+    try:
+        seed = None if seed_s == "none" else int(seed_s)
+    except ValueError:
+        raise FormatError(f"{path}: line 1: invalid seed {seed_s!r}")
+    if not len(pts):
+        raise FormatError(f"{path}: no points")
+    return Raster(dim=pts.shape[1], points=pts,
+                  kind=fields.get("kind", "custom"), seed=seed)

@@ -16,11 +16,14 @@ coefficients come out of the scattered Fourier data f_hat(lambda_n):
 * ftcg:            tau   = Omega C f_hat with C the pseudo-inverse of
                    the band-masked square system T = Psi Omega.
 
-B and C come from `numerics.pseudo_inverse`: a QR inverse of Psi and an
-LU inverse of the masked T where norm bounds certify full rank at rtol;
-an LU inverse after deflating the few dropped singular values that
-subspace iteration on the first LU inverse finds, where norm bounds
-certify that split; the truncated SVD otherwise.  `meta["psi_pinv"]`
+B and C come from `numerics.pseudo_inverse`, which picks the
+factorization by shape: a tall Psi (P > Q) gets a QR inverse, and a
+square Psi or the masked T an LU inverse, where norm bounds certify full
+rank at rtol; a square matrix that drops a few singular values gets an
+LU inverse after deflating those that subspace iteration on the first
+LU inverse finds, where norm bounds certify that split; any other
+matrix takes the truncated SVD (sas-wedge's square 625 x 625 Psi does,
+with rank 585 at seed 101).  `meta["psi_pinv"]`
 and `meta["c_pinv"]` record which factorization ran, and its retained
 rank and singular values (bounds, except after the SVD).
 
@@ -59,7 +62,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .numerics import (band_mask, band_pairs, default_band, density_weights,
                        pseudo_inverse)
-from .raster import Raster, _header_fields
+from .raster import Raster, read_rows
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
                      truncation_radius, window_coefficient, window_values)
@@ -202,11 +205,12 @@ def build_psi(raster: Raster, window: WindowSpec, modes=None,
 
 
 def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
-                         quad_nodes: int, probes: int = 17) -> float:
-    """Self-check: max |entry(n) - entry(2n)| over a probe set of offsets."""
+                         quad_nodes: int) -> float:
+    """Self-check: max |entry(n) - entry(2n)| over 17 offsets spread
+    evenly across the reach of the data and the mode box."""
     modes = _axis_modes(raster, modes)
     reach = float(np.max(raster.max_abs())) + max(modes)
-    t = np.linspace(-reach, reach, probes)
+    t = np.linspace(-reach, reach, 17)
     a = _recip_window_transform(t, window, quad_nodes)
     b = _recip_window_transform(t, window, 2 * quad_nodes)
     return float(np.max(np.abs(a - b)))
@@ -473,54 +477,37 @@ def save_image_csv(img: ImageGrid, path) -> None:
                       f"method={img.method}")
 
 
+def _image_shape(path, fields: dict) -> tuple:
+    """The grid shape in an image file's header fields."""
+    try:
+        shape = tuple(int(v) for v in fields["shape"].split("x"))
+    except (KeyError, ValueError):
+        raise FormatError(f"{path}: line 1: missing/invalid shape")
+    if len(shape) not in (1, 2) or min(shape) < 1:
+        raise FormatError(f"{path}: line 1: invalid shape {shape}")
+    return shape
+
+
 def load_image_csv(path) -> ImageGrid:
     """Parse `save_image_csv`'s format; FormatError carries the offending
     line number."""
-    with open(path) as fh:
-        header = fh.readline()
-        if "gridfr-image v1" not in header:
-            raise FormatError(f"{path}: line 1: not a gridfr image CSV")
-        fields = _header_fields(header)
-        try:
-            shape = tuple(int(v) for v in fields["shape"].split("x"))
-        except (KeyError, ValueError):
-            raise FormatError(f"{path}: line 1: missing/invalid shape")
-        if len(shape) not in (1, 2) or min(shape) < 1:
-            raise FormatError(f"{path}: line 1: invalid shape {shape}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            if len(cols) != 2 * shape[-1]:
-                raise FormatError(f"{path}: line {lineno}: expected "
-                                  f"{2 * shape[-1]} columns, got {len(cols)}")
-            try:
-                row = np.array(cols, dtype=float)
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: unparsable value")
-            if not np.all(np.isfinite(row)):
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
-            rows.append(row)
-    if len(rows) != (shape[0] if len(shape) == 2 else 1):
+    fields, data = read_rows(path, "image",
+                             lambda f: 2 * _image_shape(path, f)[-1])
+    shape = _image_shape(path, fields)
+    if len(data) != (shape[0] if len(shape) == 2 else 1):
         raise FormatError(f"{path}: line 1: shape {fields['shape']} does "
-                          f"not match the {len(rows)} rows below")
-    data = np.array(rows)
+                          f"not match the {len(data)} rows below")
     half = shape[-1]
     vals = (data[:, :half] + 1j * data[:, half:]).reshape(shape)
     return ImageGrid(values=vals, grid_size=shape, method="file")
 
 
-def save_pgm(values: np.ndarray, path, peak: Optional[float] = None,
-             bits: int = 8) -> None:
-    """Portable graymap of |values| normalized to `peak` (default: max)."""
+def save_pgm(values: np.ndarray, path, peak: Optional[float] = None) -> None:
+    """8-bit graymap (PGM) of |values| normalized to `peak` (default: max)."""
     mag = np.abs(np.atleast_2d(np.asarray(values)))
     if peak is None or peak <= 0:
         peak = float(mag.max()) or 1.0
-    maxval = 255 if bits == 8 else 65535
-    img = np.clip(mag / peak, 0.0, 1.0) * maxval
-    img = img.astype(">u1" if bits == 8 else ">u2")
+    img = (np.clip(mag / peak, 0.0, 1.0) * 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())

@@ -16,10 +16,7 @@ scenes, which get one Gauss-Legendre panel per pixel: the profile is
 constant on each panel, and each panel has enough nodes to integrate
 the kernel at the highest wavenumber to double precision.
 
-Sample CSV format::
-
-    # gridfr-samples v1, raster=<id>
-    kx[,ky],re,im
+The sample CSV format is described with the others in `raster`.
 """
 
 from __future__ import annotations
@@ -31,10 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .raster import Raster, _header_fields, philox_rng
+from .raster import Raster, philox_rng, read_rows
 from .window import gauss_legendre_01
-
-_HEADER_PREFIX = "# gridfr-samples v1"
 
 SCENE_KINDS = ("paper_test_fn", "trig_poly", "grid_image")
 
@@ -276,43 +271,28 @@ def add_noise(samples: SampleSet, snr_db: float, seed: int) -> SampleSet:
 def save_samples(samples: SampleSet, raster: Raster, path) -> None:
     if len(samples) != len(raster):
         raise ConfigError("sample/raster length mismatch")
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER_PREFIX}, raster={samples.raster_ref}\n")
-        pts = raster.points.reshape(len(raster), -1)
-        for p, v in zip(pts, samples.values):
-            coords = ",".join(f"{c:.17g}" for c in p)
-            fh.write(f"{coords},{v.real:.17g},{v.imag:.17g}\n")
+    rows = np.column_stack([raster.points.reshape(len(raster), -1),
+                            samples.values.real, samples.values.imag])
+    with open(path, "w") as fh:     # an open file, as in `save_raster`
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
+                   header=f"gridfr-samples v1, raster={samples.raster_ref}")
 
 
 def load_samples(path, raster: Raster) -> SampleSet:
     """Parse a sample file taken on `raster`; FormatError carries the
     offending line number, and names both raster ids when the header's
     is not `raster`'s."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise FormatError(f"{path}: line 1: bad header")
-        taken_on = _header_fields(header).get("raster")
+    def columns(fields):
+        taken_on = fields.get("raster")
         if taken_on != raster.raster_id:
             raise FormatError(f"{path}: line 1: samples taken on raster "
                               f"{taken_on}, not on raster {raster.raster_id}")
-        vals = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            if len(cols) != raster.dim + 2:
-                raise FormatError(f"{path}: line {lineno}: expected "
-                                  f"{raster.dim + 2} columns")
-            try:
-                nums = [float(c) for c in cols]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: unparsable value")
-            if not all(np.isfinite(nums)):
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
-            vals.append(complex(nums[-2], nums[-1]))
-    if len(vals) != len(raster):
-        raise FormatError(f"{path}: {len(vals)} rows for {len(raster)}-point raster")
-    return SampleSet(raster_ref=raster.raster_id, values=np.array(vals),
+        return raster.dim + 2
+
+    _, rows = read_rows(path, "samples", columns)
+    if len(rows) != len(raster):
+        raise FormatError(f"{path}: {len(rows)} rows for {len(raster)}-point raster")
+    # the re and im columns side by side are the complex values' bytes
+    values = np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]
+    return SampleSet(raster_ref=raster.raster_id, values=values,
                      provenance="file")

@@ -16,6 +16,13 @@ from gridfr.recon import _recip_window_transform
 from gridfr.window import gauss_legendre_01, window_values
 
 
+def csv_text(header: str, rows) -> str:
+    """A gridfr CSV file written row by row: the header line, then each
+    row's values with 17 significant digits."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def dense_psi(tables) -> np.ndarray:
     """Psi (P x Q) from its per-axis P x (2M_a+1) tables: row-wise
     Kronecker product, modes flattened row-major."""

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,9 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from gridfr import (ConfigError, ExperimentConfig, ImageGrid, error_maps,
-                    harness, preset_config, psnr, run_experiment, run_preset,
-                    run_sweep)
+from gridfr import (ConfigError, ExperimentConfig, ImageGrid, build_plan,
+                    error_maps, harness, load_raster, load_samples,
+                    preset_config, psnr, reconstruct, run_experiment,
+                    run_preset, run_sweep, save_image_csv)
 from gridfr.harness import (METRIC_COLUMNS, RASTER_KEYS, SCENE_KEYS,
                             WINDOW_KEYS, raster_from_config, rsweep_config,
                             scene_from_config, sweep_config,
@@ -176,13 +178,52 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(tmatrix) == 1 + 5 * 17 - 6
 
 
-def test_run_bit_reproducible(tmp_path):
+@pytest.mark.parametrize("config", [
+    pytest.param(small_config(), id="tiny"),
+    pytest.param(preset_config("asterisk", 101), id="asterisk"),
+    pytest.param(preset_config("sas-wedge", 101), id="sas-wedge"),
+])
+def test_run_bit_reproducible(tmp_path, config):
+    # a run replays bit for bit from its resolved_config.json, and its
+    # images from its raster.csv and samples.csv
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(small_config(), str(a))
-    run_experiment(small_config(), str(b))
-    assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
-    assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
-    assert (a / "recon_ftcg.csv").read_bytes() == (b / "recon_ftcg.csv").read_bytes()
+    run_experiment(config, str(a))
+    run_experiment(ExperimentConfig.from_json(
+        (a / "resolved_config.json").read_text()), str(b))
+    recons = [f"recon_{m}.csv" for m in config.methods]
+    # names, not contents, in the failure message: a diff of two image
+    # files takes minutes
+    assert [name for name in ("metrics.csv", "samples.csv", *recons)
+            if (a / name).read_bytes() != (b / name).read_bytes()] == []
+    raster = load_raster(a / "raster.csv")
+    samples = load_samples(a / "samples.csv", raster)
+    plan = build_plan(raster, window_from_config(config.window, config.dim),
+                      config.modes, config.methods, band=config.band,
+                      quad_nodes=config.quad_nodes, rtol=config.rtol)
+    rebuilt = {}
+    for method, name in zip(config.methods, recons):
+        rebuilt[name] = io.StringIO()
+        save_image_csv(reconstruct(method, samples, plan, config.grid_size),
+                       rebuilt[name])
+    assert [name for name in recons
+            if rebuilt[name].getvalue() != (a / name).read_text()] == []
+
+
+# median PSNR (dB) of each method over a preset's five seeds; a seed-101
+# run may fall at most PSNR_TOL_DB below it
+PRESET_MEDIAN_PSNR_DB = {
+    "noisy-grid": {"cg": 20.4, "frame": 68.3, "ftcg": 23.0},
+    "asterisk": {"cg": 17.5, "frame": 43.4, "ftcg": 10.8},
+    "sas-wedge": {"cg": 19.3, "frame": 11.3, "ftcg": 14.5},
+}
+PSNR_TOL_DB = 1.5
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_MEDIAN_PSNR_DB))
+def test_preset_quality_gate(name):
+    reports = run_experiment(preset_config(name, 101))
+    for method, median in PRESET_MEDIAN_PSNR_DB[name].items():
+        assert reports[method].psnr_db >= median - PSNR_TOL_DB, method
 
 
 def test_run_with_noise_deterministic():

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from gridfr import (ConfigError, FormatError, asterisk, jittered_grid,
-                    load_raster, rescale_to_box, sas_wedge, save_raster)
+from gridfr import (ConfigError, FormatError, ImageGrid, analytic_coeffs,
+                    asterisk, jittered_grid, load_image_csv, load_raster,
+                    load_samples, paper_test_scene, rescale_to_box, sas_wedge,
+                    save_image_csv, save_raster, save_samples, sine_scene)
+from oracles import csv_text
 
 
 def test_zero_jitter_grid_is_integer():
@@ -158,6 +163,77 @@ def test_load_bad_column_count(tmp_path):
                     "0.5,1.0\n0.25\n")
     with pytest.raises(FormatError, match="line 3"):
         load_raster(path)
+
+
+def _csv_file(tmp_path, kind):
+    """A valid `kind` file and the function that loads it."""
+    path = tmp_path / f"{kind}.csv"
+    r = jittered_grid((2, 2), 0.25, 5)
+    if kind == "raster":
+        save_raster(r, path)
+        return path, load_raster
+    if kind == "samples":
+        save_samples(analytic_coeffs(paper_test_scene(), r), r, path)
+        return path, lambda p: load_samples(p, r)
+    vals = np.arange(6.0).reshape(3, 2) - 2.5j
+    save_image_csv(ImageGrid(values=vals, grid_size=(3, 2)), path)
+    return path, load_image_csv
+
+
+# each fault, made to the text of a file's third line (its second row) or
+# its header, and the error it gives: line number and wording
+CSV_FAULTS = {
+    "columns": (lambda line: line + ",1", 3,
+                r"expected \d+ columns, got \d+"),
+    "value": (lambda line: "x," + line.split(",", 1)[1], 3,
+              "unparsable value"),
+    "non-finite": (lambda line: "inf," + line.split(",", 1)[1], 3,
+                   "non-finite value"),
+    "header": (lambda line: "# gridfr-other v1", 1,
+               "bad header '# gridfr-other v1', expected '# gridfr-.* v1'"),
+}
+
+
+@pytest.mark.parametrize("kind", ["raster", "samples", "image"])
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_csv_loaders_share_line_numbered_errors(tmp_path, kind, fault):
+    path, load = _csv_file(tmp_path, kind)
+    change, lineno, wording = CSV_FAULTS[fault]
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = change(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: line {lineno}: ") + wording):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["raster", "samples", "image"])
+def test_csv_loaders_skip_blank_and_comment_lines(tmp_path, kind):
+    path, load = _csv_file(tmp_path, kind)
+    expected = load(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["", "# a note", "  "] + lines[2:]))
+    back = load(path)
+    got, want = ((back.points, expected.points) if kind == "raster"
+                 else (back.values, expected.values))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_csv_writers_match_row_loop(tmp_path):
+    path = tmp_path / "f.csv"
+    for r, scene in ((jittered_grid(4, 0.25, 3), sine_scene()),
+                     (asterisk(6, 3, 2.5), paper_test_scene())):
+        pts = r.points.reshape(len(r), -1)
+        seed = "none" if r.seed is None else r.seed
+        save_raster(r, path)
+        assert path.read_text() == csv_text(
+            f"# gridfr-raster v1, dim={r.dim}, kind={r.kind}, seed={seed}",
+            pts)
+        s = analytic_coeffs(scene, r)
+        save_samples(s, r, path)
+        assert path.read_text() == csv_text(
+            f"# gridfr-samples v1, raster={r.raster_id}",
+            [[*p, v.real, v.imag] for p, v in zip(pts, s.values)])
 
 
 def test_duplicate_points_rejected():
