@@ -1,9 +1,9 @@
 """Experiment orchestration: metrics, presets, runs, sweeps, artifacts.
 
 Every preset pins all of its parameters (window, mode box, band, grid,
-seeds) explicitly, so a run is bit-reproducible from its resolved
-config.  The deterministic metrics go to ``metrics.csv``; wall-clock
-timings (which are not reproducible) go to a separate ``timings.json``.
+seeds); its resolved config lists them, so a run is bit-reproducible.
+The deterministic metrics go to ``metrics.csv``; wall-clock timings
+(which are not reproducible) go to a separate ``timings.json``.
 
 Artifacts of a run with an output directory: resolved_config.json,
 raster.csv, samples.csv, reference.csv/.pgm, scene.pgm, per method
@@ -49,6 +49,7 @@ rsweep-1d    1D band sweep r in {2,4,8,full} on a sine scene, N=16.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import json
@@ -65,8 +66,9 @@ from .errors import ConfigError
 from .numerics import default_band, save_magnitude_csv
 from .raster import (Raster, asterisk, jittered_grid, rescale_to_box,
                      sas_wedge, save_raster)
-from .recon import (ImageGrid, _axis_modes, build_plan, reconstruct,
-                    reference_image, scene_image, save_image_csv, save_pgm)
+from .recon import (METHODS, ImageGrid, _axis_modes, _axis_sizes, build_plan,
+                    reconstruct, reference_image, scene_image, save_image_csv,
+                    save_pgm)
 from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
                        boxcar_scene, check_snr, paper_test_scene,
                        quadrature_coeffs, save_samples, sine_scene,
@@ -148,7 +150,7 @@ class ExperimentConfig:
     window: dict
     modes: object            # int or per-axis list
     methods: tuple = ("cg", "frame", "ftcg")
-    band: int = 8
+    band: Optional[int] = 8
     grid_size: int = 128
     rtol: Optional[float] = None
     snr_db: float = math.inf
@@ -171,53 +173,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        missing = {"name", "dim", "scene", "raster", "window", "modes"} - set(d)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        for key in NUMERIC_FIELDS:
-            if key in d and not (d[key] is None and key in NULLABLE_FIELDS):
-                _check_numeric(d[key], key, key in INTEGER_FIELDS)
-        d = dict(d)
-        snr = d.get("snr_db", "inf")
+        _, d = _check_spec(d, "config", CONFIG_KEYS)
+        snr = d["snr_db"]
         try:
             d["snr_db"] = math.inf if snr in ("inf", None) else float(snr)
         except (TypeError, ValueError):
             raise ConfigError(f"snr_db must be a number or 'inf', got {snr!r}")
         check_snr(d["snr_db"])
-        d["methods"] = tuple(d.get("methods", ("cg", "frame", "ftcg")))
+        d["methods"] = tuple(d["methods"])
         return cls(**d)
-
-
-# config fields that hold a number or a list of numbers; some may be null,
-# and those that count something hold integers
-NUMERIC_FIELDS = ("dim", "modes", "band", "grid_size", "rtol", "seed",
-                  "quad_nodes")
-NULLABLE_FIELDS = ("modes", "band", "rtol", "quad_nodes")
-INTEGER_FIELDS = ("dim", "modes", "band", "grid_size", "seed", "quad_nodes")
 
 
 def _check_numeric(value, what: str, integral: bool = False) -> None:
     """ConfigError unless `value` is a real number (not a bool) or a
     possibly nested list of them; with `integral`, integers only, so
     8.0 is refused as well as 8.7."""
-    items = value if isinstance(value, (list, tuple)) else [value]
-    for v in items:
-        if isinstance(v, (list, tuple)):
+    if isinstance(value, (list, tuple)):
+        for v in value:
             _check_numeric(v, what, integral)
-        elif not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise ConfigError(f"{what} must be numeric, got {value!r}")
-        elif integral and not isinstance(v, numbers.Integral):
-            raise ConfigError(f"{what} must be an integer, got {value!r}")
+    elif not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be numeric, got {value!r}")
+    elif integral and not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-# per kind of spec, its required keys and its optional keys with their
-# defaults; a window spec has no kind.  Every key other than kind and a
-# trig_poly's coefficients holds a number or a list of numbers, integers
-# for the keys in INTEGER_KEYS.
+# Spec tables: per kind, the required keys and the optional keys with their
+# defaults; window specs and the config have no kind.  A value is a real
+# number or a nested list of them, integers for INTEGER_KEYS; it may be null
+# where its default is None, and for modes and band (default_modes and
+# default_band then apply).  NON_NUMERIC_KEYS hold other values: methods
+# is a non-empty list of METHODS, the rest are checked where they are read.
 SCENE_KEYS = {"paper_test_fn": ((), {}), "sine": ((), {}),
               "boxcar": ((), {"lo": 0.25, "hi": 0.75, "npix": 64}),
               "trig_poly": (("coefficients",), {})}
@@ -227,35 +212,48 @@ RASTER_KEYS = {"jittered_grid": (("extents",), {"jitter": 0.25,
                "sas_wedge": (("k_min", "k_max", "k_count", "ku_max",
                               "ku_count"), {})}
 WINDOW_KEYS = {None: (("sigma",), {"trunc_eps": DEFAULT_TRUNC_EPS})}
-INTEGER_KEYS = ("npix", "extents", "index_range", "spokes", "radial_count",
+CONFIG_KEYS = {None: (("name", "dim", "scene", "raster", "window", "modes"),
+                      {f.name: f.default
+                       for f in dataclasses.fields(ExperimentConfig)
+                       if f.default is not dataclasses.MISSING})}
+INTEGER_KEYS = ("dim", "modes", "band", "grid_size", "seed", "quad_nodes",
+                "npix", "extents", "index_range", "spokes", "radial_count",
                 "k_count", "ku_count")
+NON_NUMERIC_KEYS = ("name", "scene", "raster", "window", "methods",
+                    "snr_db", "coefficients")
 
 
 def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
-    """Returns ``(kind, spec with defaults filled in)``.
+    """Returns ``(kind, spec without kind, with defaults filled in)``.
 
     `extra` holds optional keys every kind takes, with their defaults.
-    ConfigError on an unknown kind, an unknown key, a missing one, a
-    non-numeric value (None only where the default is None), or a
-    non-integer value of an INTEGER_KEYS key.
+    ConfigError on an unknown kind, an unknown key, a missing one, or a
+    value the rules above the spec tables refuse.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
     if kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
     required, optional = kinds[kind]
     optional = {**optional, **(extra or {})}
-    unknown = sorted(set(spec) - {"kind", *required, *optional})
+    unknown = sorted(set(spec) - {*required, *optional})
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
     missing = [k for k in required if k not in spec]
     if missing:
         raise ConfigError(f"missing {what} keys: {missing}")
     for key, value in spec.items():
-        if key not in ("kind", "coefficients") and not (
-                value is None and optional.get(key, 0) is None):
-            _check_numeric(value, f"{what} {key}", key in INTEGER_KEYS)
+        name = key if what == "config" else f"{what} {key}"
+        if key == "methods" and not (
+                isinstance(value, (list, tuple)) and value
+                and all(m in METHODS for m in value)):
+            raise ConfigError(f"methods must be a non-empty list of "
+                              f"{list(METHODS)}, got {value!r}")
+        if key not in NON_NUMERIC_KEYS and not (value is None and (
+                optional.get(key, 0) is None or key in ("modes", "band"))):
+            _check_numeric(value, name, key in INTEGER_KEYS)
     return kind, {**optional, **spec}
 
 
@@ -267,11 +265,17 @@ def scene_from_config(spec: dict, dim: int) -> Scene:
         return sine_scene()
     if kind == "boxcar":
         return boxcar_scene(spec["lo"], spec["hi"], spec["npix"])
-    coeffs = {}
-    for k, (re, im) in spec["coefficients"].items():
-        key = tuple(int(v) for v in k.split(",")) if dim == 2 else int(k)
-        coeffs[key] = complex(re, im)
-    return trig_poly_scene(coeffs, dim)
+    coeffs = spec["coefficients"]
+    try:        # {"k" (1D) or "k1,k2" (2D): [re, im]}
+        terms = {tuple(int(v) for v in k.split(",")): complex(re, im)
+                 for k, (re, im) in coeffs.items()}
+    except (AttributeError, TypeError, ValueError):
+        terms = None
+    if terms is None or any(len(k) != dim for k in terms):
+        raise ConfigError(f"scene coefficients must map 'k' (1D) or 'k1,k2' "
+                          f"(2D) to [re, im], got {coeffs!r}")
+    return trig_poly_scene({k if dim == 2 else k[0]: c
+                            for k, c in terms.items()}, dim)
 
 
 def raster_from_config(spec: dict, seed: int) -> tuple:
@@ -325,6 +329,24 @@ PRESET_SEEDS = {
 }
 
 
+# the pinned 2D setups' fields that differ from ExperimentConfig's defaults
+PRESETS = {
+    "noisy-grid": dict(
+        raster={"kind": "jittered_grid", "extents": [15, 15], "jitter": 0.06,
+                "index_range": [[-15, 14], [-15, 14]]},
+        window={"sigma": 0.2, "trunc_eps": 1e-12}, modes=[14, 14]),
+    "asterisk": dict(
+        raster={"kind": "asterisk", "spokes": 22, "radial_count": 5,
+                "max_radius": 5.0},
+        window={"sigma": 0.2, "trunc_eps": 1e-12}, modes=[5, 5], band=12,
+        rtol=1e-5),
+    "sas-wedge": dict(
+        raster={"kind": "sas_wedge", "k_min": 1.0, "k_max": 1.5, "k_count": 25,
+                "ku_max": 1.2, "ku_count": 25, "rescale_to": [12, 12]},
+        window={"sigma": 1.0 / 6.0, "trunc_eps": 1e-12}, modes=[12, 12]),
+}
+
+
 def preset_config(name: str, seed: int) -> ExperimentConfig:
     """Pinned reconstructions of the three experiment setups.
 
@@ -333,37 +355,11 @@ def preset_config(name: str, seed: int) -> ExperimentConfig:
     mode box, jitter, seeds) is our own reconstruction of the setup and
     is labeled as such in the emitted metadata.
     """
-    if name == "noisy-grid":
-        return ExperimentConfig(
-            name=name, dim=2,
-            scene={"kind": "paper_test_fn"},
-            raster={"kind": "jittered_grid", "extents": [15, 15],
-                    "jitter": 0.06,
-                    "index_range": [[-15, 14], [-15, 14]]},
-            window={"sigma": 0.2, "trunc_eps": 1e-12},
-            modes=[14, 14], methods=("cg", "frame", "ftcg"), band=8,
-            grid_size=128, rtol=None, snr_db=math.inf, seed=seed)
-    if name == "asterisk":
-        return ExperimentConfig(
-            name=name, dim=2,
-            scene={"kind": "paper_test_fn"},
-            raster={"kind": "asterisk", "spokes": 22, "radial_count": 5,
-                    "max_radius": 5.0},
-            window={"sigma": 0.2, "trunc_eps": 1e-12},
-            modes=[5, 5], methods=("cg", "frame", "ftcg"), band=12,
-            grid_size=128, rtol=1e-5, snr_db=math.inf, seed=seed)
-    if name == "sas-wedge":
-        return ExperimentConfig(
-            name=name, dim=2,
-            scene={"kind": "paper_test_fn"},
-            raster={"kind": "sas_wedge", "k_min": 1.0, "k_max": 1.5,
-                    "k_count": 25, "ku_max": 1.2, "ku_count": 25,
-                    "rescale_to": [12, 12]},
-            window={"sigma": 1.0 / 6.0, "trunc_eps": 1e-12},
-            modes=[12, 12], methods=("cg", "frame", "ftcg"), band=8,
-            grid_size=128, rtol=None, snr_db=math.inf, seed=seed)
-    raise ConfigError(f"unknown preset {name!r} "
-                      f"(have noisy-grid, asterisk, sas-wedge)")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} "
+                          f"(have {', '.join(PRESETS)})")
+    return ExperimentConfig(name=name, dim=2, scene={"kind": "paper_test_fn"},
+                            seed=seed, **copy.deepcopy(PRESETS[name]))
 
 
 def sweep_config(n_extent: int, seed: int) -> ExperimentConfig:
@@ -459,8 +455,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     # between runs and read-only.  They are made before the plan: made
     # after it, they raised the presets benchmark's peak RSS by 11 MB.
     modes = _axis_modes(rast, config.modes)
-    grid = config.grid_size
-    grid = grid if np.isscalar(grid) else tuple(grid)
+    grid = _axis_sizes(config.grid_size, config.dim, "grid_size")
     ref_key = (config.scene, config.dim, window, modes, grid)
     reference = store.get("reference", ref_key, lambda: reference_image(
         scene, window, modes, grid))
@@ -487,7 +482,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     reports = {}
     images = {}
     for method in config.methods:
-        img = reconstruct(method, samples, plan, config.grid_size)
+        img = reconstruct(method, samples, plan, grid)
         images[method] = img
         reports[method] = MetricsReport(
             method=method,

@@ -318,7 +318,8 @@ def load_raster(path, dim: Optional[int] = None) -> Raster:
         seed = None if seed_s == "none" else int(seed_s)
     except ValueError:
         raise FormatError(f"{path}: line 1: invalid seed {seed_s!r}")
-    if not len(pts):
-        raise FormatError(f"{path}: no points")
-    return Raster(dim=pts.shape[1], points=pts,
-                  kind=fields.get("kind", "custom"), seed=seed)
+    try:        # an empty or invalid point set, with the path
+        return Raster(dim=pts.shape[1], points=pts,
+                      kind=fields.get("kind", "custom"), seed=seed)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None

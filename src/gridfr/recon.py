@@ -53,6 +53,7 @@ reconstruction quality gates in the test suite.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -133,15 +134,21 @@ class ImageGrid:
 
 # ---------------------------------------------------------------- operators
 
+def _axis_sizes(value, dim: int, what: str) -> tuple:
+    """`dim` non-negative integers from `value`, one for every axis or a
+    list of one per axis; ConfigError naming `what` otherwise."""
+    sizes = tuple(value) if np.iterable(value) else (value,) * dim
+    if len(sizes) != dim or not all(isinstance(s, numbers.Integral)
+                                    and s >= 0 for s in sizes):
+        raise ConfigError(f"{what} must be one non-negative integer or a "
+                          f"list of {dim}, got {value!r}")
+    return tuple(int(s) for s in sizes)
+
+
 def _axis_modes(raster: Raster, modes) -> tuple:
     if modes is None:
         return default_modes(raster)
-    out = (int(modes),) * raster.dim if np.isscalar(modes) \
-        else tuple(int(m) for m in modes)
-    if len(out) != raster.dim or min(out) < 0:
-        raise ConfigError(f"modes must be {raster.dim} non-negative "
-                          f"half-extent(s), got {modes!r}")
-    return out
+    return _axis_sizes(modes, raster.dim, "modes")
 
 
 def default_modes(raster: Raster) -> tuple:
@@ -156,11 +163,7 @@ def default_modes(raster: Raster) -> tuple:
 
 def default_grid(modes) -> tuple:
     """Synthesis grid: 4*(2M+1) rounded up to a power of two, per axis."""
-    out = []
-    for m in np.atleast_1d(modes):
-        g = 4 * (2 * int(m) + 1)
-        out.append(1 << int(np.ceil(np.log2(g))))
-    return tuple(out)
+    return tuple(1 << int(np.ceil(np.log2(4 * (2 * m + 1)))) for m in modes)
 
 
 def default_quad_nodes(raster: Raster, modes) -> int:
@@ -282,6 +285,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     psi = psi_axes = omega_axes = dvec = bmat = tmat = cmat = None
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
+    elif quad_nodes < 1:
+        raise ConfigError(f"quad_nodes must be at least 1, got {quad_nodes}")
 
     needs_psi = bool({"frame", "ftcg"} & set(methods))
     needs_omega = bool({"cg", "ftcg"} & set(methods))
@@ -372,10 +377,7 @@ def synthesize(coeffs: np.ndarray, plan: ReconPlan, grid_size=None,
 def _grid_tuple(grid_size, modes) -> tuple:
     if grid_size is None:
         return default_grid(modes)
-    if np.isscalar(grid_size):
-        g = (int(grid_size),) * len(modes)
-    else:
-        g = tuple(int(v) for v in grid_size)
+    g = _axis_sizes(grid_size, len(modes), "grid_size")
     for gi, m in zip(g, modes):
         if gi < 2 * m + 1:
             raise ConfigError(f"grid {gi} < 2M+1 = {2 * m + 1}: synthesis "
@@ -420,7 +422,7 @@ def windowed_coefficients(scene: Scene, window: WindowSpec, modes) -> np.ndarray
     sized for the highest mode plus the window's bandwidth (the frequency
     where its spectrum falls below double precision).
     """
-    modes = tuple(int(m) for m in np.atleast_1d(modes))
+    modes = _axis_sizes(modes, scene.dim, "modes")
     axes = [np.arange(-m, m + 1).astype(float) for m in modes]
     if scene.kind in ("paper_test_fn", "trig_poly"):
         out = np.zeros(tuple(a.size for a in axes), dtype=complex)
@@ -450,7 +452,7 @@ def reference_image(scene: Scene, window: WindowSpec, modes,
     it shares the mode truncation and window division of the estimators
     so those do not register as reconstruction error.
     """
-    modes = tuple(int(m) for m in np.atleast_1d(modes))
+    modes = _axis_sizes(modes, scene.dim, "modes")
     g = _grid_tuple(grid_size, modes)
     c = windowed_coefficients(scene, window, modes)
     return ImageGrid(values=_synthesize_modes(c, modes, g, window),
@@ -458,8 +460,7 @@ def reference_image(scene: Scene, window: WindowSpec, modes,
 
 
 def scene_image(scene: Scene, grid_size, dim: int) -> ImageGrid:
-    g = (int(grid_size),) * dim if np.isscalar(grid_size) \
-        else tuple(int(v) for v in grid_size)
+    g = _axis_sizes(grid_size, dim, "grid_size")
     vals = _scene_lattice(scene, [np.arange(n) / n for n in g])
     return ImageGrid(values=np.asarray(vals, dtype=complex), grid_size=g,
                      method="scene")
@@ -497,8 +498,9 @@ def load_image_csv(path) -> ImageGrid:
     if len(data) != (shape[0] if len(shape) == 2 else 1):
         raise FormatError(f"{path}: line 1: shape {fields['shape']} does "
                           f"not match the {len(data)} rows below")
-    half = shape[-1]
-    vals = (data[:, :half] + 1j * data[:, half:]).reshape(shape)
+    # assigned, not summed: re + 1j * im turns a real part of -0 into +0
+    vals = np.empty(shape, dtype=complex)
+    vals.real, vals.imag = np.hsplit(data, 2)
     return ImageGrid(values=vals, grid_size=shape, method="file")
 
 

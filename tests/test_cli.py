@@ -133,7 +133,7 @@ def _tiny_config(**fields):
             "band": 3, "grid_size": 64, "seed": 4, **fields}
 
 
-# each config is malformed in the field it is named after
+# each config is malformed in the field its name starts with, up to a "-"
 MALFORMED_CONFIGS = {
     "extents": _tiny_config(raster={"kind": "jittered_grid"}),
     "sigma": _tiny_config(window={"trunc_eps": 1e-12}),
@@ -142,6 +142,15 @@ MALFORMED_CONFIGS = {
     "snr_db": _tiny_config(snr_db="abc"),
     "seed": _tiny_config(seed=-1),
     "modes": _tiny_config(modes=-1),
+    "methods-name": _tiny_config(methods="ftcg"),
+    "methods-empty": _tiny_config(methods=[]),
+    "coefficients-key": _tiny_config(scene={"kind": "trig_poly",
+                                            "coefficients": {"a": [1, 0]}}),
+    "coefficients-list": _tiny_config(scene={"kind": "trig_poly",
+                                             "coefficients": [1]}),
+    "quad_nodes": _tiny_config(quad_nodes=0),
+    "grid_size": _tiny_config(grid_size=[64, 64]),
+    "config": 5,
 }
 
 
@@ -175,6 +184,8 @@ MALFORMED_FILES = {
     "image-header.csv": "# gridfr-image v1, shape=2by2\n1,2,3,4\n1,2,3,4\n",
     "raster-seed.csv": "# gridfr-raster v1, dim=1, kind=custom, seed=1.5\n"
                        "0.5\n",
+    "raster-duplicate.csv": "# gridfr-raster v1, dim=1, kind=custom, "
+                            "seed=none\n0.5\n0.5\n",
     "samples-raster.csv": "# gridfr-samples v1, raster=0123456789abcdef\n"
                           + "0,1,0\n" * 9,
 }
@@ -186,7 +197,8 @@ def _metrics(name):
 
 
 @pytest.mark.parametrize("field, argv", [
-    *(pytest.param(f, ["run", "--config", "{tmp}/" + f + ".json"],
+    *(pytest.param(f.split("-")[0],
+                   ["run", "--config", "{tmp}/" + f + ".json"],
                    id=f"config-{f}") for f in MALFORMED_CONFIGS),
     *(pytest.param(f, ["run", "--config", "{tmp}/type-" + f + ".json"],
                    id=f"config-type-{f}") for f in WRONG_TYPE_CONFIGS),
@@ -218,6 +230,9 @@ def _metrics(name):
     pytest.param("raster-seed.csv: line 1: invalid seed",
                  ["sample", "--raster", "{tmp}/raster-seed.csv",
                   "--out", "{tmp}/s.csv"], id="raster-seed"),
+    pytest.param("raster-duplicate.csv: duplicate raster points",
+                 ["sample", "--raster", "{tmp}/raster-duplicate.csv",
+                  "--out", "{tmp}/s.csv"], id="raster-duplicate"),
 ])
 def test_malformed_input_typed_error(tmp_path, capsys, field, argv):
     for name, cfg in MALFORMED_CONFIGS.items():

@@ -289,6 +289,10 @@ def test_preset_configs_well_formed():
         cfg = preset_config(name, 0)
         assert cfg.dim == 2
         assert cfg.methods == ("cg", "frame", "ftcg")
+        # each call builds its own specs, so changing one leaves the next
+        again = preset_config(name, 0)
+        assert again.raster is not cfg.raster
+        assert again.window is not cfg.window
     with pytest.raises(ConfigError):
         preset_config("nope", 0)
     # sweep point configs resolve too

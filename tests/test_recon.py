@@ -434,8 +434,13 @@ def test_frame_independent_of_point_order(kind, seed):
 def test_image_csv_round_trip(tmp_path, shape):
     rng = np.random.default_rng(3)
     vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a signed zero reads back with its sign, in either part
+    vals.flat[0], vals.flat[-1] = complex(-0.0, 1.0), complex(1.0, -0.0)
     path = tmp_path / "img.csv"
     recon.save_image_csv(recon.ImageGrid(values=vals, grid_size=shape), path)
     back = recon.load_image_csv(path)
     assert back.grid_size == shape
     np.testing.assert_array_equal(back.values, vals)
+    for part in ("real", "imag"):
+        np.testing.assert_array_equal(np.signbit(getattr(back.values, part)),
+                                      np.signbit(getattr(vals, part)))
