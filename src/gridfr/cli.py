@@ -14,13 +14,13 @@ import os
 import sys
 
 from .errors import ConfigError, FormatError, NumericalError
-from .harness import (PRESET_SEEDS, RASTER_KEYS, ExperimentConfig,
+from .harness import (PRESET_SEEDS, PRESETS, RASTER_KEYS, ExperimentConfig,
                       fourier_data, l2_relative, linf_error, psnr,
                       raster_from_config, run_experiment, run_preset,
                       run_sweep, save_error_map, scene_from_config)
 from .raster import load_raster, save_raster
-from .recon import (build_plan, load_image_csv, reconstruct, save_image_csv,
-                    save_pgm)
+from .recon import (METHODS, build_plan, load_image_csv, reconstruct,
+                    save_image_csv, save_pgm)
 from .sampling import load_samples, save_samples
 from .window import gaussian_window
 
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="reconstruct one image from files")
     p.add_argument("--raster", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--method", choices=["cg", "frame", "ftcg"], default="ftcg")
+    p.add_argument("--method", choices=METHODS, default="ftcg")
     p.add_argument("--band", type=int, default=None)
     p.add_argument("--modes", type=int, default=None)
     p.add_argument("--sigma", type=float, default=0.125)
@@ -208,13 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-map", default=None, help="write log-error PGM here")
 
     p = sub.add_parser("run", help="run a preset or config file")
-    p.add_argument("--preset", choices=["noisy-grid", "asterisk", "sas-wedge"])
+    p.add_argument("--preset", choices=list(PRESETS))
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--band", type=int, default=None)
     p.add_argument("--snr", type=_parse_snr, default=None)
-    p.add_argument("--method", action="append",
-                   choices=["cg", "frame", "ftcg"])
+    p.add_argument("--method", action="append", choices=METHODS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="raster-size or band sweep")

@@ -68,7 +68,7 @@ from .raster import (Raster, asterisk, jittered_grid, rescale_to_box,
                      sas_wedge, save_raster)
 from .recon import (METHODS, ImageGrid, _axis_modes, _axis_sizes, build_plan,
                     reconstruct, reference_image, scene_image, save_image_csv,
-                    save_pgm)
+                    save_pgm, t_matrix)
 from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
                        boxcar_scene, check_snr, paper_test_scene,
                        quadrature_coeffs, save_samples, sine_scene,
@@ -174,11 +174,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _, d = _check_spec(d, "config", CONFIG_KEYS)
-        snr = d["snr_db"]
-        try:
-            d["snr_db"] = math.inf if snr in ("inf", None) else float(snr)
-        except (TypeError, ValueError):
+        snr = math.inf if d["snr_db"] in ("inf", None) else d["snr_db"]
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
             raise ConfigError(f"snr_db must be a number or 'inf', got {snr!r}")
+        d["snr_db"] = float(snr)
         check_snr(d["snr_db"])
         d["methods"] = tuple(d["methods"])
         return cls(**d)
@@ -553,9 +552,10 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
         save_image_csv(img, join(f"recon_{method}.csv"))
         save_pgm(img.values, join(f"recon_{method}.pgm"), peak=peak)
         save_error_map(img, reference, join(f"error_{method}.pgm"))
-    if plan.tmat is not None:
-        save_magnitude_csv(plan.tmat, plan.band, join("tmatrix.csv"))
-        save_pgm(plan.tmat, join("tmatrix.pgm"))
+    if "ftcg" in plan.methods:
+        tmat = t_matrix(plan.psi_axes, plan.omega_axes)
+        save_magnitude_csv(tmat, plan.band, join("tmatrix.csv"))
+        save_pgm(tmat, join("tmatrix.pgm"))
     with open(join("metrics.csv"), "w") as fh:
         fh.write("# gridfr metrics v1\n")
         fh.write("# psnr_db / l2_rel are against the windowed Fourier "

@@ -37,10 +37,10 @@ so T = Psi Omega is P x P and a full band makes C = T^+ collapse FTCG
 onto the frame solve.  Entries separate across axes: Psi[n, m] =
 prod_a Psi_a[n, m_a] and Omega[m, n] = prod_a O_a[m_a, n], with per-axis
 tables Psi_a (P x (2M_a+1)) from `build_psi` and O_a ((2M_a+1) x P) from
-`build_omega`.  Only the frame solve needs Psi dense.  Omega is never
-formed: gridding a vector v is ((O_1 * v) @ O_2^T).ravel(), and
-T = (Psi_1 O_1) * (Psi_2 O_2) entrywise, which avoids the P x Q x P
-product.
+`build_omega`; a plan holds these tables.  Only the frame solve forms
+Psi dense.  Omega is never formed: gridding a vector v is
+((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms T = (Psi_1 O_1) * (Psi_2 O_2)
+entrywise, which avoids the P x Q x P product.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -77,18 +77,18 @@ class ReconPlan:
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
-    `omega_axes` holds Omega as its per-axis tables O_a, one
-    (2M_a+1) x P array per axis (see the module docstring); `omega`,
-    the dense Q x P matrix, is always None because no method needs it.
-    `psi` is the dense Psi, held only for the frame method.
+    `psi_axes` and `omega_axes` hold Psi and Omega as their per-axis
+    tables (see the module docstring).  The dense Psi, Omega and T are
+    not held: `psi`, `omega` and `tmat` are always None, and `t_matrix`
+    forms T from the tables.
     `rtol` is the threshold requested of both pseudo-inverses; None lets
     each use `default_rtol` of its own shape, and the applied values are
     in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta`
     carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
-    their enclosing total; frame_pinv includes forming the dense Psi),
-    retained-rank info, any raster rescale transform, and quadrature
-    self-check drift.
+    their enclosing total; frame_pinv includes forming Psi, ftcg_pinv
+    forming T), retained-rank info, any raster rescale transform, and
+    quadrature self-check drift.
     """
 
     raster: Raster
@@ -97,18 +97,14 @@ class ReconPlan:
     methods: tuple
     band: Optional[int] = None
     rtol: Optional[float] = None
-    psi: Optional[np.ndarray] = None
+    psi_axes: Optional[tuple] = None       # frame, ftcg: per-axis Psi tables
     omega_axes: Optional[tuple] = None     # cg, ftcg: per-axis Omega tables
     dvec: Optional[np.ndarray] = None      # cg diagonal weights
     bmat: Optional[np.ndarray] = None      # frame: pinv(Psi)
-    tmat: Optional[np.ndarray] = None      # Psi @ Omega
     cmat: Optional[np.ndarray] = None      # ftcg: pinv(T o B_r)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def omega(self) -> None:
-        """The dense Omega, which the plan does not hold (see `omega_axes`)."""
-        return None
+    psi = omega = tmat = property(lambda self: None)
 
     @property
     def raster_ref(self) -> str:
@@ -255,6 +251,15 @@ def _apply_omega(tables, v) -> np.ndarray:
     return ((o1 * v) @ o2.T).ravel()
 
 
+def t_matrix(psi_axes, omega_axes) -> np.ndarray:
+    """The dense T = Psi Omega (P x P) from the per-axis tables: the
+    entrywise product over axes of the P x P products Psi_a O_a."""
+    out = psi_axes[0] @ omega_axes[0]
+    for p, o in zip(psi_axes[1:], omega_axes[1:]):
+        out *= p @ o
+    return out
+
+
 # ------------------------------------------------------------------- plans
 
 def build_plan(raster: Raster, window: WindowSpec, modes=None,
@@ -266,6 +271,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"methods lists {m!r} more than once")
     if window.dim != raster.dim:
         raise ConfigError("window/raster dimension mismatch")
     if "ftcg" in methods:
@@ -277,49 +284,40 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     t0 = time.perf_counter()
     timings = {}
 
+    def stage(key, fn, *args):
+        t1 = time.perf_counter()
+        out = fn(*args)
+        timings[key] = time.perf_counter() - t1
+        return out
+
     max_abs = raster.max_abs()
     if np.any(np.array(modes) < np.floor(max_abs)):
         meta["mode_box_warning"] = (
             f"mode box {modes} does not cover data extent {max_abs.round(3)}")
 
-    psi = psi_axes = omega_axes = dvec = bmat = tmat = cmat = None
+    psi_axes = omega_axes = dvec = bmat = cmat = None
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
     elif quad_nodes < 1:
         raise ConfigError(f"quad_nodes must be at least 1, got {quad_nodes}")
 
-    needs_psi = bool({"frame", "ftcg"} & set(methods))
-    needs_omega = bool({"cg", "ftcg"} & set(methods))
-    if needs_psi:
-        t1 = time.perf_counter()
-        psi_axes = build_psi(raster, window, modes, quad_nodes)
-        timings["psi"] = time.perf_counter() - t1
-        t1 = time.perf_counter()
-        drift = psi_quadrature_drift(raster, window, modes, quad_nodes)
-        timings["drift"] = time.perf_counter() - t1
+    if {"frame", "ftcg"} & set(methods):
+        psi_axes = stage("psi", build_psi, raster, window, modes, quad_nodes)
+        drift = stage("drift", psi_quadrature_drift, raster, window, modes,
+                      quad_nodes)
         meta["psi_quad_drift"] = drift
         if drift > 1e-8:
             meta["psi_quad_warning"] = (
                 f"quadrature drift {drift:.2e} above 1e-8; raise quad_nodes")
-    if needs_omega:
-        t1 = time.perf_counter()
-        omega_axes = build_omega(raster, window, modes)
-        timings["omega"] = time.perf_counter() - t1
+    if {"cg", "ftcg"} & set(methods):
+        omega_axes = stage("omega", build_omega, raster, window, modes)
     if "cg" in methods:
-        t1 = time.perf_counter()
-        dvec = density_weights(raster)
-        timings["density"] = time.perf_counter() - t1
+        dvec = stage("density", density_weights, raster)
     # C before B: the masked T's inversion needs the most memory, so it
-    # runs while neither B nor the dense Psi is held
+    # runs while neither B nor the dense Psi is held, nor T once masked
     if "ftcg" in methods:
-        t1 = time.perf_counter()
-        # T = prod_a Psi_a O_a entrywise, one (P x 2M_a+1) @ (2M_a+1 x P)
-        # product per axis
-        tmat = psi_axes[0] @ omega_axes[0]
-        for p, o in zip(psi_axes[1:], omega_axes[1:]):
-            tmat *= p @ o
-        cmat, cinfo = pseudo_inverse(band_mask(tmat, band), rtol)
-        timings["ftcg_pinv"] = time.perf_counter() - t1
+        cmat, cinfo = stage("ftcg_pinv", lambda: pseudo_inverse(
+            band_mask(t_matrix(psi_axes, omega_axes), band), rtol))
         meta["c_pinv"] = cinfo
         # the retained spectra of the masked system and of its pseudo-
         # inverse are reciprocal, so the two condition numbers coincide
@@ -327,22 +325,20 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["kappa_c"] = cinfo.kappa
         meta["kept_fraction"] = kept / len(raster) ** 2
     if "frame" in methods:
-        t1 = time.perf_counter()
-        psi = _kron_rows(psi_axes)
-        bmat, info = pseudo_inverse(psi, rtol)
-        timings["frame_pinv"] = time.perf_counter() - t1
+        bmat, info = stage("frame_pinv", lambda: pseudo_inverse(
+            _kron_rows(psi_axes), rtol))
         meta["psi_pinv"] = info
         meta["kappa_psi"] = info.kappa
     timings["total"] = time.perf_counter() - t0
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes
-    for arr in (psi, dvec, bmat, tmat, cmat, *(omega_axes or ())):
+    for arr in (dvec, bmat, cmat, *(psi_axes or ()), *(omega_axes or ())):
         if arr is not None:
             arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
-                     methods=methods, band=band, rtol=rtol, psi=psi,
-                     omega_axes=omega_axes, dvec=dvec, bmat=bmat, tmat=tmat,
-                     cmat=cmat, meta=meta)
+                     methods=methods, band=band, rtol=rtol, psi_axes=psi_axes,
+                     omega_axes=omega_axes, dvec=dvec, bmat=bmat, cmat=cmat,
+                     meta=meta)
 
 
 # ------------------------------------------------------------ coefficients

@@ -151,6 +151,7 @@ MALFORMED_CONFIGS = {
     "quad_nodes": _tiny_config(quad_nodes=0),
     "grid_size": _tiny_config(grid_size=[64, 64]),
     "config": 5,
+    "methods-repeat": _tiny_config(methods=["cg", "cg"]),
 }
 
 
@@ -162,6 +163,7 @@ WRONG_TYPE_CONFIGS = {
     "sigma": _tiny_config(window={"sigma": "a"}),
     "jitter": _tiny_config(raster={"kind": "jittered_grid", "extents": 8,
                                    "jitter": "a"}),
+    "snr_db": _tiny_config(snr_db="30"),
 }
 
 
@@ -206,6 +208,9 @@ def _metrics(name):
                    id=f"config-int-{f}") for f in NON_INTEGER_CONFIGS),
     pytest.param("seed", ["run", "--preset", "noisy-grid", "--seed", "-1"],
                  id="preset-seed"),
+    pytest.param("methods lists 'cg'",
+                 ["run", "--preset", "asterisk", "--seed", "101",
+                  "--method", "cg", "--method", "cg"], id="preset-methods"),
     pytest.param("seed", ["gen-raster", "--kind", "jittered", "--seed", "-1",
                           "--out", "{tmp}/r.csv"], id="gen-raster-seed"),
     pytest.param("seed", ["sample", "--raster", "{tmp}/ok.csv", "--scene",

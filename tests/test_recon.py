@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from gridfr import (ConfigError, analytic_coeffs, asterisk,
                     reference_image, scene_image, sine_scene, synthesize,
                     trig_poly_scene, windowed_coefficients)
 from gridfr import recon
+from gridfr.recon import t_matrix
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.numerics import _svd_pinv, band_mask
 from gridfr.raster import Raster
@@ -112,8 +115,8 @@ def test_plan_shapes_1d():
     plan = build_plan(r, win, 16, methods=("cg", "frame", "ftcg"), band=4)
     assert plan.omega is None
     assert [o.shape for o in plan.omega_axes] == [(33, 33)]
-    assert plan.psi.shape == (33, 33)
-    assert plan.tmat.shape == (33, 33)
+    assert dense_psi(plan.psi_axes).shape == (33, 33)
+    assert t_matrix(plan.psi_axes, plan.omega_axes).shape == (33, 33)
     assert plan.dvec.shape == (33,)
     assert plan.meta["kappa_psi"] > 0
     assert plan.meta["kept_fraction"] == pytest.approx((7 * 33 - 12) / 33**2)
@@ -124,7 +127,8 @@ def test_plan_rebuild_deterministic():
     r = jittered_grid(8, 0.25, 9)
     a = build_plan(r, win, 8, methods=("ftcg",), band=3)
     b = build_plan(r, win, 8, methods=("ftcg",), band=3)
-    assert np.array_equal(a.tmat, b.tmat)
+    assert np.array_equal(t_matrix(a.psi_axes, a.omega_axes),
+                          t_matrix(b.psi_axes, b.omega_axes))
     assert np.array_equal(a.cmat, b.cmat)
 
 
@@ -132,7 +136,7 @@ def test_frame_plan_rowspace_identity():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(12, 0.25, 21)
     plan = build_plan(r, win, 12, methods=("frame",))
-    psi, b = plan.psi, plan.bmat
+    psi, b = dense_psi(plan.psi_axes), plan.bmat
     assert np.linalg.norm(psi @ b @ psi - psi) / np.linalg.norm(psi) < 1e-8
 
 
@@ -320,35 +324,60 @@ def test_plan_records_each_applied_rtol():
     # thresholds differ; each inverse records its own
     win = gaussian_window(0.125, 1e-12, dim=1)
     plan = build_plan(jittered_grid(4, 0.25, 5), win, 8, band=3)
-    assert plan.psi.shape == (9, 17) and plan.rtol is None
+    psi = dense_psi(plan.psi_axes)
+    assert psi.shape == (9, 17) and plan.rtol is None
     psi_info, c_info = plan.meta["psi_pinv"], plan.meta["c_pinv"]
     assert psi_info.rtol == pytest.approx(1.7e-9, rel=1e-12)
     assert c_info.rtol == pytest.approx(9e-10, rel=1e-12)
-    masked = band_mask(plan.tmat, plan.band)
+    masked = band_mask(t_matrix(plan.psi_axes, plan.omega_axes), plan.band)
     assert c_info.rank == _svd_pinv(masked, c_info.rtol)[1].rank
-    assert psi_info.rank == _svd_pinv(plan.psi, psi_info.rtol)[1].rank
+    assert psi_info.rank == _svd_pinv(psi, psi_info.rtol)[1].rank
     # a requested rtol is the one both inverses apply
     plan = build_plan(jittered_grid(4, 0.25, 5), win, 8, band=3, rtol=1e-6)
     assert plan.rtol == 1e-6
     assert plan.meta["psi_pinv"].rtol == plan.meta["c_pinv"].rtol == 1e-6
 
 
+def _held_arrays(plan) -> dict:
+    """Every ndarray a plan's fields hold, tuples opened, by field name."""
+    out = {}
+    for f in dataclasses.fields(plan):
+        value = getattr(plan, f.name)
+        if isinstance(value, np.ndarray):
+            out[f.name] = value
+        elif isinstance(value, tuple):
+            out.update((f"{f.name}[{i}]", v) for i, v in enumerate(value)
+                       if isinstance(v, np.ndarray))
+    return out
+
+
 def test_plan_arrays_read_only():
     win = gaussian_window(0.125, 1e-12, dim=1)
     plan = build_plan(jittered_grid(6, 0.25, 5), win, 6, band=3)
     with pytest.raises(ValueError):
-        plan.psi[0, 0] = 0.0
-    for name in ("dvec", "bmat", "tmat", "cmat"):
+        plan.psi_axes[0][0, 0] = 0.0
+    for name in ("dvec", "bmat", "cmat"):
         assert not getattr(plan, name).flags.writeable
     win2 = gaussian_window(0.2, 1e-12, dim=2)
     plan2 = build_plan(asterisk(6, 2, 2.0), win2, (2, 3), band=3)
     for plan in (plan, plan2):
-        assert plan.omega is None
-        assert len(plan.omega_axes) == plan.raster.dim
+        assert plan.psi is None and plan.omega is None and plan.tmat is None
+        assert len(plan.psi_axes) == len(plan.omega_axes) == plan.raster.dim
         for table in plan.omega_axes:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
+        held = _held_arrays(plan)
+        assert {"psi_axes[0]", "omega_axes[0]", "dvec", "bmat",
+                "cmat"} <= set(held)
+        for name, arr in held.items():
+            assert not arr.flags.writeable, name
+    # only B and C are dense; in 1D Psi's and Omega's one table is the
+    # dense matrix, so the 2D plan shows it
+    p, q = len(plan2.raster), np.prod([2 * m + 1 for m in plan2.modes])
+    for name, arr in _held_arrays(plan2).items():
+        if name not in ("bmat", "cmat"):
+            assert arr.shape not in ((p, q), (q, p), (p, p)), name
 
 
 def test_band_checked_before_any_assembly(monkeypatch):
@@ -395,9 +424,10 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
         plan = _preset_plan(name, seed, methods)
     for key, kind in paths.items():
         if key == "psi_pinv":
-            got, system = plan.bmat, plan.psi
+            got, system = plan.bmat, dense_psi(plan.psi_axes)
         else:
-            got, system = plan.cmat, band_mask(plan.tmat, plan.band)
+            got, system = plan.cmat, band_mask(
+                t_matrix(plan.psi_axes, plan.omega_axes), plan.band)
         info = plan.meta[key]
         assert info.factorization == kind
         oracle, oinfo = _svd_pinv(system, info.rtol)

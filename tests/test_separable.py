@@ -3,8 +3,8 @@
 Psi, Omega and the synthesis step factor over the axes, so a 2D result
 must equal the matching product of the 1D results built from each
 coordinate on its own, and the per-axis applies of Omega and of the
-synthesis must equal the dense Kronecker Omega and the zero-padded
-inverse FFT they replace.
+synthesis, and T formed from the per-axis tables, must equal the dense
+Kronecker products and the zero-padded inverse FFT they replace.
 """
 
 import numpy as np
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from gridfr import (asterisk, build_omega, build_plan, build_psi,
                     gaussian_window, synthesize)
 from gridfr.raster import Raster
-from gridfr.recon import _apply_omega, _kron_rows, _synthesize_modes
+from gridfr.recon import (_apply_omega, _kron_rows, _synthesize_modes,
+                          t_matrix)
 
 from oracles import dense_omega, dense_psi, synthesize_fft
 
@@ -97,6 +98,20 @@ def test_omega_apply_equals_dense_kronecker(data, raster, seed, sigma):
     # the rounding scale of either sum: sum_n |Omega[m, n]| |v_n| per mode
     scale = np.linalg.norm(np.abs(omega) @ np.abs(v))
     assert np.linalg.norm(_apply_omega(tables, v) - want) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), raster=rasters, sigma=st.floats(1 / 8, 1 / 4))
+def test_t_matrix_equals_dense_product(data, raster, sigma):
+    modes = data.draw(unequal_modes(raster.dim))
+    win = gaussian_window(sigma, 1e-12, dim=raster.dim)
+    psi_t = build_psi(raster, win, modes, QUAD_NODES)
+    omega_t = build_omega(raster, win, modes)
+    psi, omega = dense_psi(psi_t), dense_omega(omega_t)
+    got = t_matrix(psi_t, omega_t)
+    # the rounding scale of either sum: sum_m |Psi[n, m]| |Omega[m, l]|
+    scale = np.abs(psi) @ np.abs(omega)
+    assert np.all(np.abs(got - psi @ omega) <= 1e-12 * scale.max())
 
 
 @settings(max_examples=60, deadline=None)
