@@ -164,8 +164,7 @@ def _cmd_sweep(args) -> int:
         out_path = os.path.join(out_path, f"sweep_{args.axis}.csv")
     seeds = None if args.seed is None else [args.seed]
     result = run_sweep(args.axis, seeds=seeds, out_path=out_path)
-    header = "method," + ",".join(f"{args.axis}={v}" for v in result["values"])
-    print(header)
+    print("method," + ",".join(f"{args.axis}={v}" for v in result["values"]))
     for method, row in result["table"].items():
         print(method + "," + ",".join(f"{v:.6g}" for v in row))
     if out_path:

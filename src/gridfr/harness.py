@@ -478,11 +478,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         return reports
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
 
-    reports = {}
-    images = {}
+    reports, images = {}, {}
     for method in config.methods:
-        img = reconstruct(method, samples, plan, grid)
-        images[method] = img
+        images[method] = img = reconstruct(method, samples, plan, grid)
         reports[method] = MetricsReport(
             method=method,
             psnr_db=psnr(img, reference),
@@ -568,8 +566,7 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
 
 
 def _write_run_record(out_dir, config, reports) -> None:
-    """resolved_config.json and timings.json, the two per-seed files."""
-    os.makedirs(out_dir, exist_ok=True)
+    """resolved_config.json and timings.json, into the artifacts' dir."""
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
         fh.write(config.to_json() + "\n")
     with open(os.path.join(out_dir, "timings.json"), "w") as fh:
@@ -648,7 +645,6 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
         for m in configs[0].methods:
             table.setdefault(m, []).append(float(np.median(
                 [r[m].l2_rel_vs_scene for r in reports])))
-
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("# gridfr sweep v1, l2 relative error vs true scene\n")

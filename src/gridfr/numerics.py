@@ -19,6 +19,8 @@ silent.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import numbers
 from dataclasses import dataclass
 
@@ -26,6 +28,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .raster import Raster, philox_rng
+
+# glibc slides its mmap and trim thresholds up as blocks are freed, so the
+# heap that plan builds keep depends on their order; fixed, it does not.
+MMAP_THRESHOLD = 8 << 20
+with contextlib.suppress(OSError, TypeError, AttributeError):     # no glibc
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    _mallopt(-3, MMAP_THRESHOLD)        # M_MMAP_THRESHOLD
+    _mallopt(-1, 4 << 20)     # M_TRIM_THRESHOLD; lower refaults temps
 
 
 def default_rtol(shape) -> float:

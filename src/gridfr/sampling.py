@@ -155,8 +155,6 @@ def scene_eval(scene: Scene, x) -> np.ndarray:
 
 
 def _is_real_scene(scene: Scene) -> bool:
-    if scene.kind == "grid_image":
-        return True
     for k, c in scene.coefficients.items():
         neg = tuple(-x for x in k) if isinstance(k, tuple) else -k
         conj = scene.coefficients.get(neg)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -241,6 +245,58 @@ def test_svd_failure_is_numerical_error(monkeypatch):
         pseudo_inverse(np.diag(np.r_[np.ones(15), 1e-12]))
     with pytest.raises(NumericalError):
         _svd_pinv(np.eye(3), 1e-10)
+
+
+# glibc's mallinfo2 counters: arena is the heap's size, hblkhd the bytes
+# in mapped blocks.  Prints how many more bytes a 16 MiB array mapped than
+# it holds, how many a 2 MiB one mapped, and how much freeing the latter
+# at the heap's top shrank the heap.
+FRESH_PROCESS_MALLOC = """if True:
+    import ctypes
+    import numpy as np
+    from gridfr import numerics
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+            "fsmblks", "uordblks", "fordblks", "keepcost")]
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, TypeError, AttributeError):
+        raise SystemExit(3)
+    mallinfo2.argtypes, mallinfo2.restype = [], MallInfo2
+    big = np.ones(24 << 20, np.uint8)
+    del big
+    mapped = mallinfo2().hblkhd
+    small = np.ones(16 << 20, np.uint8)
+    assert small.nbytes >= numerics.MMAP_THRESHOLD
+    print(mallinfo2().hblkhd - mapped - small.nbytes)
+    mapped = mallinfo2().hblkhd
+    top = np.ones(2 << 20, np.uint8)
+    assert top.nbytes < numerics.MMAP_THRESHOLD
+    print(mallinfo2().hblkhd - mapped)
+    heap = mallinfo2().arena
+    del top
+    print(heap - mallinfo2().arena)
+"""
+
+
+def test_malloc_thresholds_stay_fixed():
+    # glibc would raise its mmap threshold to 24 MiB on the free and put
+    # the 16 MiB array on the heap; importing gridfr pins it at 8 MiB, so
+    # the 2 MiB array is on the heap, and the trim threshold at 4 MiB, so
+    # the heap keeps it when it is freed.  A fresh process, because a heap
+    # with room for an array would serve it.
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS_MALLOC],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode == 3:
+        pytest.skip("no glibc mallinfo2")
+    assert proc.returncode == 0, proc.stderr
+    overhead, top_mapped, trimmed = map(int, proc.stdout.split())
+    assert 0 <= overhead < 1 << 20
+    assert top_mapped == 0 and trimmed == 0
 
 
 def test_band_mask_diagonal_only():
