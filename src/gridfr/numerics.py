@@ -1,8 +1,9 @@
 """Dense linear-algebra kernel: truncated pseudo-inverse, the FTCG band,
 and density-compensation quadrature weights.
 
-Matrices are plain complex numpy arrays throughout, and every
-factorization is one of numpy's LAPACK bindings (LU, QR or SVD).  The
+Matrices are plain numpy arrays, real or complex (the plans hand over
+real ones; see `recon.ReconPlan`), and every factorization is one of
+numpy's LAPACK bindings (LU, QR or SVD).  The
 pseudo-inverse treats singular values below ``rtol * sigma_max`` as
 zero; the default threshold is ``1e-10 * max(rows, cols)``.  A square
 or tall matrix whose LU or QR inverse certifies, by norm bounds, that

@@ -16,16 +16,21 @@ coefficients come out of the scattered Fourier data f_hat(lambda_n):
 * ftcg:            tau   = Omega C f_hat with C the pseudo-inverse of
                    the band-masked square system T = Psi Omega.
 
-B and C come from `numerics.pseudo_inverse`, which picks the
-factorization by shape: a tall Psi (P > Q) gets a QR inverse, and a
-square Psi or the masked T an LU inverse, where norm bounds certify full
+Psi and the masked T are real matrices between unit-modulus diagonals,
+Psi = D A E and T o M = D (R o M) D^H (see `ReconPlan`), so B = E A^+ D^H
+and C = D (R o M)^+ D^H: every factorization runs in real arithmetic, and
+B and C are formed from the real inverses in one scaling pass.  The
+inverses come from `numerics.pseudo_inverse`, which picks the
+factorization by shape: a tall A (P > Q) gets a QR inverse, and a
+square A or the masked R an LU inverse, where norm bounds certify full
 rank at rtol; a square matrix that drops a few singular values gets an
 LU inverse after deflating those that subspace iteration on the first
 LU inverse finds, where norm bounds certify that split; any other
-matrix takes the truncated SVD (sas-wedge's square 625 x 625 Psi does,
-with rank 585 at seed 101).  `meta["psi_pinv"]`
-and `meta["c_pinv"]` record which factorization ran, and its retained
-rank and singular values (bounds, except after the SVD).
+matrix takes the truncated SVD (sas-wedge's square 625 x 625 A does,
+with rank 585 at seed 101).  The phases change no singular value, so
+`meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's and the masked T's
+ranks and singular values (bounds, except after the SVD) and name the
+factorization that ran.
 
 Matrix conventions (P raster points, Q modes, row-major flattening of
 the 2D mode lattice):
@@ -38,9 +43,10 @@ onto the frame solve.  Entries separate across axes: Psi[n, m] =
 prod_a Psi_a[n, m_a] and Omega[m, n] = prod_a O_a[m_a, n], with per-axis
 tables Psi_a (P x (2M_a+1)) from `build_psi` and O_a ((2M_a+1) x P) from
 `build_omega`; a plan holds these tables.  Only the frame solve forms
-Psi dense.  Omega is never formed: gridding a vector v is
-((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms T = (Psi_1 O_1) * (Psi_2 O_2)
-entrywise, which avoids the P x Q x P product.
+a dense P x Q matrix, Psi's real counterpart A.  Omega is never formed:
+gridding a vector v is ((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms
+T = (Psi_1 O_1) * (Psi_2 O_2) entrywise, which avoids the P x Q x P
+product, and R the same way from the real tables.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -71,23 +77,33 @@ from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
 METHODS = ("cg", "frame", "ftcg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconPlan:
     """Precomputed operators for a fixed raster/window/mode box.
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
-    `psi_axes` and `omega_axes` hold Psi and Omega as their per-axis
-    tables (see the module docstring).  The dense Psi, Omega and T are
-    not held: `psi`, `omega` and `tmat` are always None, and `t_matrix`
-    forms T from the tables.
+    Plans compare and hash by identity.  `psi_axes` and `omega_axes`
+    hold Psi and Omega as their per-axis tables (see the module
+    docstring).  The dense Psi, Omega and T are not held: `psi`, `omega`
+    and `tmat` are always None, and `t_matrix` forms T from the tables.
+
+    The window is symmetric about 1/2, and so is the Gauss-Legendre rule
+    on [0, 1], so each table is a real table times phases:
+    Psi_a[n, m] = e^{i pi (m - lambda_{n,a})} A_a[n, m] and
+    O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  Hence Psi = D A E,
+    with A the row-wise Kronecker product of the A_a (real, P x Q),
+    D = diag(e^{-i pi sum_a lambda_{n,a}}) and E = diag((-1)^{sum_a m_a}),
+    and T o M = D (R o M) D^H for any mask M, with R = (A_1 G_1) o (A_2 G_2)
+    real.  `bmat` = E A^+ D^H and `cmat` = D (R o M)^+ D^H are formed from
+    the real inverses.
     `rtol` is the threshold requested of both pseudo-inverses; None lets
     each use `default_rtol` of its own shape, and the applied values are
     in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta`
     carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
-    their enclosing total; frame_pinv includes forming Psi, ftcg_pinv
-    forming T), retained-rank info, any raster rescale transform, and
+    their enclosing total; frame_pinv includes forming A, ftcg_pinv
+    forming R), retained-rank info, any raster rescale transform, and
     quadrature self-check drift.
     """
 
@@ -253,10 +269,42 @@ def _apply_omega(tables, v) -> np.ndarray:
 
 def t_matrix(psi_axes, omega_axes) -> np.ndarray:
     """The dense T = Psi Omega (P x P) from the per-axis tables: the
-    entrywise product over axes of the P x P products Psi_a O_a."""
+    entrywise product over axes of the P x P products Psi_a O_a.  Given
+    the real tables A_a and G_a instead, it forms the real R."""
     out = psi_axes[0] @ omega_axes[0]
     for p, o in zip(psi_axes[1:], omega_axes[1:]):
         out *= p @ o
+    return out
+
+
+def _real_tables(tables, raster: Raster) -> tuple:
+    """The real tables A_a with tables[a][n, m] = e^{i pi (m - lambda_{n,a})}
+    A_a[n, m] (P x (2M_a+1) each): the tables de-phased, real part kept.
+
+    Psi's tables give A_a; the conjugate transposes of Omega's give the
+    transposes of G_a (see `ReconPlan`).
+    """
+    out = []
+    for axis, t in enumerate(tables):
+        m = (t.shape[1] - 1) // 2
+        off = np.subtract.outer(np.arange(-m, m + 1), raster.coords(axis))
+        out.append((t * np.exp(-1j * np.pi * off.T)).real)
+    return tuple(out)
+
+
+def _diagonal_phases(raster: Raster, modes) -> tuple:
+    """The diagonals of D (P) and E (Q) in Psi = D A E: e^{-i pi sum_a
+    lambda_{n,a}} per point and (-1)^{sum_a m_a} per mode, row-major."""
+    d = np.exp(-1j * np.pi * raster.points.reshape(len(raster), -1).sum(axis=1))
+    e = _kron_rows([1.0 - 2.0 * (np.arange(-m, m + 1)[None, :] % 2)
+                    for m in modes])[0]
+    return d, e
+
+
+def _rephased(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """diag(left) x diag(right) for real x, as one new complex array."""
+    out = np.multiply.outer(left, right)
+    out *= x
     return out
 
 
@@ -313,11 +361,25 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         omega_axes = stage("omega", build_omega, raster, window, modes)
     if "cg" in methods:
         dvec = stage("density", density_weights, raster)
-    # C before B: the masked T's inversion needs the most memory, so it
-    # runs while neither B nor the dense Psi is held, nor T once masked
+    # Psi = D A E and T o M = D (R o M) D^H (see ReconPlan): the real A and
+    # R o M are inverted and the phases put back on their inverses
+    def ftcg_pinv():
+        g_axes = _real_tables([o.conj().T for o in omega_axes], raster)
+        rinv, info = pseudo_inverse(band_mask(t_matrix(
+            _real_tables(psi_axes, raster), [g.T for g in g_axes]), band), rtol)
+        d, _ = _diagonal_phases(raster, modes)
+        return _rephased(rinv, d, d.conj()), info
+
+    def frame_pinv():
+        ainv, info = pseudo_inverse(_kron_rows(_real_tables(psi_axes, raster)),
+                                    rtol)
+        d, e = _diagonal_phases(raster, modes)
+        return _rephased(ainv, e, d.conj()), info
+
+    # C before B: the masked R's inversion needs the most memory, so it
+    # runs while neither B nor the dense A is held, nor R once masked
     if "ftcg" in methods:
-        cmat, cinfo = stage("ftcg_pinv", lambda: pseudo_inverse(
-            band_mask(t_matrix(psi_axes, omega_axes), band), rtol))
+        cmat, cinfo = stage("ftcg_pinv", ftcg_pinv)
         meta["c_pinv"] = cinfo
         # the retained spectra of the masked system and of its pseudo-
         # inverse are reciprocal, so the two condition numbers coincide
@@ -325,8 +387,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["kappa_c"] = cinfo.kappa
         meta["kept_fraction"] = kept / len(raster) ** 2
     if "frame" in methods:
-        bmat, info = stage("frame_pinv", lambda: pseudo_inverse(
-            _kron_rows(psi_axes), rtol))
+        bmat, info = stage("frame_pinv", frame_pinv)
         meta["psi_pinv"] = info
         meta["kappa_psi"] = info.kappa
     timings["total"] = time.perf_counter() - t0

@@ -132,6 +132,17 @@ def test_plan_rebuild_deterministic():
     assert np.array_equal(a.cmat, b.cmat)
 
 
+def test_plans_compare_and_hash_by_identity():
+    # equal-valued plans hold arrays, which have no single truth value
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    r = jittered_grid(8, 0.25, 9)
+    a = build_plan(r, win, 8, band=3)
+    b = build_plan(r, win, 8, band=3)
+    assert (a == b) is False and a != b
+    assert a == a
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_frame_plan_rowspace_identity():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(12, 0.25, 21)
