@@ -89,6 +89,8 @@ def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
     if recon.values.shape != reference.values.shape:
         raise ConfigError("PSNR needs matching grids")
     peak = float(np.abs(reference.values).max())
+    if peak == 0.0:
+        raise ConfigError("the reference is zero: PSNR needs a nonzero peak")
     mse = float(np.mean(np.abs(recon.values - reference.values) ** 2))
     if mse == 0.0:
         return math.inf
@@ -97,6 +99,8 @@ def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
 
 def l2_relative(recon: ImageGrid, reference: ImageGrid) -> float:
     denom = float(np.linalg.norm(reference.values))
+    if denom == 0.0:
+        raise ConfigError("the reference is zero: no relative error")
     return float(np.linalg.norm(recon.values - reference.values)) / denom
 
 

@@ -41,12 +41,13 @@ the 2D mode lattice):
 so T = Psi Omega is P x P and a full band makes C = T^+ collapse FTCG
 onto the frame solve.  Entries separate across axes: Psi[n, m] =
 prod_a Psi_a[n, m_a] and Omega[m, n] = prod_a O_a[m_a, n], with per-axis
-tables Psi_a (P x (2M_a+1)) from `build_psi` and O_a ((2M_a+1) x P) from
-`build_omega`; a plan holds these tables.  Only the frame solve forms
-a dense P x Q matrix, Psi's real counterpart A.  Omega is never formed:
-gridding a vector v is ((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms
-T = (Psi_1 O_1) * (Psi_2 O_2) entrywise, which avoids the P x Q x P
-product, and R the same way from the real tables.
+tables Psi_a (P x (2M_a+1)), each a phase times the real table A_a from
+`build_psi`, and O_a ((2M_a+1) x P) from `build_omega`; a plan holds
+these tables.  Only the frame solve forms a dense P x Q matrix, Psi's
+real counterpart A.  Omega is never formed: gridding v is
+((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms T = (Psi_1 O_1) *
+(Psi_2 O_2) entrywise, without the P x Q x P product, and R the same
+way from the real tables.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -91,12 +92,14 @@ class ReconPlan:
     The window is symmetric about 1/2, and so is the Gauss-Legendre rule
     on [0, 1], so each table is a real table times phases:
     Psi_a[n, m] = e^{i pi (m - lambda_{n,a})} A_a[n, m] and
-    O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  Hence Psi = D A E,
-    with A the row-wise Kronecker product of the A_a (real, P x Q),
-    D = diag(e^{-i pi sum_a lambda_{n,a}}) and E = diag((-1)^{sum_a m_a}),
-    and T o M = D (R o M) D^H for any mask M, with R = (A_1 G_1) o (A_2 G_2)
-    real.  `bmat` = E A^+ D^H and `cmat` = D (R o M)^+ D^H are formed from
-    the real inverses.
+    O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  A_a is the real
+    half-rule sum from `build_psi`, and `psi_axes` holds the A_a phased;
+    G_a = |O_a| is the window spectrum's magnitude.  Hence
+    Psi = D A E, with A the row-wise Kronecker product of the A_a (real,
+    P x Q), D = diag(e^{-i pi sum_a lambda_{n,a}}) and
+    E = diag((-1)^{sum_a m_a}), and T o M = D (R o M) D^H for any mask M,
+    with R = (A_1 G_1) o (A_2 G_2) real.  `bmat` = E A^+ D^H and
+    `cmat` = D (R o M)^+ D^H are formed from the real inverses.
     `rtol` is the threshold requested of both pseudo-inverses; None lets
     each use `default_rtol` of its own shape, and the applied values are
     in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta`
@@ -183,51 +186,59 @@ def default_quad_nodes(raster: Raster, modes) -> int:
     return max(384, 64 * int(np.ceil(8.0 * reach / 64.0)))
 
 
-def _recip_window_transform(t, window: WindowSpec, nodes: int):
-    """v(t) = int_0^1 exp(2 pi i t x) / w(x) dx on an array of offsets.
-
-    Evaluates the exponential at every (offset, node) pair; the oracle
-    behind `psi_quadrature_drift`, not a build path.
-    """
-    xq, wq = gauss_legendre_01(nodes)
-    vx = wq / window_values(xq, window.sigma)
-    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, float), xq)) @ vx
+def _half_rule_sums(lam, m: int, sigma: float, nodes: int) -> np.ndarray:
+    """A[n, k] = sum_q 2 v_q cos(2 pi (k - lam_n) u_q), k = -m..m, over the
+    upper half u_q = x_q - 1/2 >= 0 of the Gauss-Legendre rule, v_q =
+    w_q / w(x_q), the centre node of an odd rule counted once.  Rule and
+    window are symmetric about 1/2, so this is the rule's sum of
+    e^{2 pi i (k - lam) x} / w(x) times e^{-i pi (k - lam)}.  Two real GEMMs
+    (cos.cos + sin.sin), from k = 0..m: cos is even and sin odd in k."""
+    xq, wq = (a[nodes // 2:] for a in gauss_legendre_01(nodes))
+    u = 2.0 * np.pi * (xq - 0.5)
+    v = 2.0 * wq / window_values(xq, sigma)
+    if nodes % 2:
+        v[0] /= 2.0
+    lu, ku = np.multiply.outer(lam, u), np.multiply.outer(np.arange(m + 1), u)
+    c, s = v * np.cos(ku), v * np.sin(ku)
+    out = np.cos(lu) @ np.vstack([c[:0:-1], c]).T
+    if m:       # else the sine terms vanish
+        out += np.sin(lu) @ np.vstack([-s[:0:-1], s]).T
+    return out
 
 
 def build_psi(raster: Raster, window: WindowSpec, modes=None,
               quad_nodes: Optional[int] = None) -> tuple:
-    """Per-axis factors of the cross-Gram Psi (P x Q) of data exponentials
-    against windowed modes: one P x (2M_a+1) table Psi_a per axis, with
-    Psi[n, m] = prod_a Psi_a[n, m_a] (`_kron_rows` forms it densely).
-
-    Each factor is the Gauss-Legendre sum of
-    e^{2 pi i (m - lambda) x} / w(x), split as
-    e^{-2 pi i lambda x} . e^{2 pi i m x}: one (P x nodes) @ (nodes x 2M+1)
-    product per axis, so no P x (2M+1) x nodes table is ever formed.
-    """
+    """Per-axis real factors of the cross-Gram Psi (P x Q) of data
+    exponentials against windowed modes: one P x (2M_a+1) table A_a per
+    axis, the Gauss-Legendre sum Psi_a[n, m] of e^{2 pi i (m - lambda) x} /
+    w(x) at lambda = lambda_{n,a} taken in real arithmetic over half the
+    rule (`_half_rule_sums`): Psi_a[n, m] = e^{i pi (m - lambda_{n,a})}
+    A_a[n, m] (`_phased`) and Psi[n, m] = prod_a Psi_a[n, m_a]."""
     modes = _axis_modes(raster, modes)
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
-    xq, wq = gauss_legendre_01(quad_nodes)
-    vx = wq / window_values(xq, window.sigma)
-    factors = []
-    for axis in range(raster.dim):
-        marr = np.arange(-modes[axis], modes[axis] + 1)
-        e_lam = np.exp(-2j * np.pi * np.multiply.outer(raster.coords(axis), xq))
-        e_m = np.exp(2j * np.pi * np.multiply.outer(xq, marr))
-        factors.append(e_lam @ (vx[:, None] * e_m))
-    return tuple(factors)
+    return tuple(_half_rule_sums(raster.coords(axis), m, window.sigma,
+                                 quad_nodes) for axis, m in enumerate(modes))
+
+
+def _phased(a_axes, raster: Raster, modes) -> tuple:
+    """Psi's tables e^{i pi (m - lambda_{n,a})} A_a[n, m] from the real A_a,
+    as e^{-i pi lambda_{n,a}} A_a[n, m] (-1)^m."""
+    return tuple(_rephased(a, np.exp(-1j * np.pi * raster.coords(axis)),
+                           1.0 - 2.0 * (np.arange(-m, m + 1) % 2))
+                 for axis, (a, m) in enumerate(zip(a_axes, modes)))
 
 
 def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
                          quad_nodes: int) -> float:
-    """Self-check: max |entry(n) - entry(2n)| over 17 offsets spread
-    evenly across the reach of the data and the mode box."""
+    """Self-check: max |A(t) on n nodes - A(t) on 2n| over 17 offsets t
+    spread evenly across the reach of the data and the mode box, with A
+    the half-rule sum; a Psi entry is A times a unit-modulus phase."""
     modes = _axis_modes(raster, modes)
     reach = float(np.max(raster.max_abs())) + max(modes)
     t = np.linspace(-reach, reach, 17)
-    a = _recip_window_transform(t, window, quad_nodes)
-    b = _recip_window_transform(t, window, 2 * quad_nodes)
+    a, b = (_half_rule_sums(t, 0, window.sigma, n)
+            for n in (quad_nodes, 2 * quad_nodes))
     return float(np.max(np.abs(a - b)))
 
 
@@ -275,21 +286,6 @@ def t_matrix(psi_axes, omega_axes) -> np.ndarray:
     for p, o in zip(psi_axes[1:], omega_axes[1:]):
         out *= p @ o
     return out
-
-
-def _real_tables(tables, raster: Raster) -> tuple:
-    """The real tables A_a with tables[a][n, m] = e^{i pi (m - lambda_{n,a})}
-    A_a[n, m] (P x (2M_a+1) each): the tables de-phased, real part kept.
-
-    Psi's tables give A_a; the conjugate transposes of Omega's give the
-    transposes of G_a (see `ReconPlan`).
-    """
-    out = []
-    for axis, t in enumerate(tables):
-        m = (t.shape[1] - 1) // 2
-        off = np.subtract.outer(np.arange(-m, m + 1), raster.coords(axis))
-        out.append((t * np.exp(-1j * np.pi * off.T)).real)
-    return tuple(out)
 
 
 def _diagonal_phases(raster: Raster, modes) -> tuple:
@@ -350,7 +346,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         raise ConfigError(f"quad_nodes must be at least 1, got {quad_nodes}")
 
     if {"frame", "ftcg"} & set(methods):
-        psi_axes = stage("psi", build_psi, raster, window, modes, quad_nodes)
+        a_axes = stage("psi", build_psi, raster, window, modes, quad_nodes)
+        psi_axes = _phased(a_axes, raster, modes)
         drift = stage("drift", psi_quadrature_drift, raster, window, modes,
                       quad_nodes)
         meta["psi_quad_drift"] = drift
@@ -364,15 +361,14 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     # Psi = D A E and T o M = D (R o M) D^H (see ReconPlan): the real A and
     # R o M are inverted and the phases put back on their inverses
     def ftcg_pinv():
-        g_axes = _real_tables([o.conj().T for o in omega_axes], raster)
-        rinv, info = pseudo_inverse(band_mask(t_matrix(
-            _real_tables(psi_axes, raster), [g.T for g in g_axes]), band), rtol)
+        g_axes = [np.abs(o) for o in omega_axes]
+        rinv, info = pseudo_inverse(band_mask(t_matrix(a_axes, g_axes), band),
+                                    rtol)
         d, _ = _diagonal_phases(raster, modes)
         return _rephased(rinv, d, d.conj()), info
 
     def frame_pinv():
-        ainv, info = pseudo_inverse(_kron_rows(_real_tables(psi_axes, raster)),
-                                    rtol)
+        ainv, info = pseudo_inverse(_kron_rows(a_axes), rtol)
         d, e = _diagonal_phases(raster, modes)
         return _rephased(ainv, e, d.conj()), info
 

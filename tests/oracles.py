@@ -12,7 +12,6 @@ from unittest import mock
 import numpy as np
 
 from gridfr import numerics
-from gridfr.recon import _recip_window_transform
 from gridfr.window import gauss_legendre_01, window_values
 
 
@@ -50,6 +49,16 @@ def synthesize_fft(coeffs, modes, grid, sigma) -> np.ndarray:
     img = np.fft.ifftn(arr) * np.prod(grid)
     w = [window_values(np.arange(g) / g, sigma) for g in grid]
     return img / functools.reduce(np.multiply.outer, w)
+
+
+def _recip_window_transform(t, window, nodes: int):
+    """v(t) = int_0^1 exp(2 pi i t x) / w(x) dx on an array of offsets, by
+    the full Gauss-Legendre rule: the complex exponential at every
+    (offset, node) pair.  Psi_a[n, m] = v(m - lambda_{n,a}), and
+    `recon._half_rule_sums` is e^{-i pi t} v(t) summed over half the rule."""
+    xq, wq = gauss_legendre_01(nodes)
+    vx = wq / window_values(xq, window.sigma)
+    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, float), xq)) @ vx
 
 
 def psi_entry_quad(window, lam, m, nodes: int = 2048) -> complex:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gridfr import harness
+from gridfr import ImageGrid, harness, save_image_csv
 from gridfr.cli import main
 
 
@@ -44,6 +44,28 @@ def test_metrics_command(tmp_path, capsys):
     assert rc == 0
     assert "psnr_db=inf" in capsys.readouterr().out
     assert (tmp_path / "e.pgm").exists()
+
+
+def test_zero_reference_typed_error(tmp_path, capsys):
+    # a noiseless all-zero scene has an all-zero reference
+    cfg = {"name": "zero", "dim": 1,
+           "scene": {"kind": "trig_poly", "coefficients": {"0": [0, 0]}},
+           "raster": {"kind": "jittered_grid", "extents": 8},
+           "window": {"sigma": 0.125}, "modes": 8}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the reference is zero")
+    assert "Traceback" not in err
+    zero, ones = tmp_path / "zero.csv", tmp_path / "ones.csv"
+    for path, value in ((zero, 0.0), (ones, 1.0)):
+        save_image_csv(ImageGrid(np.full(8, value, complex), (8,)), str(path))
+    assert main(["metrics", "--recon", str(ones),
+                 "--reference", str(zero)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the reference is zero")
+    assert "Traceback" not in err
 
 
 def test_gen_raster_one_rescale_extent_for_every_axis(tmp_path, capsys):

@@ -39,6 +39,14 @@ def test_psnr_shape_mismatch():
         psnr(grid(np.ones(4)), grid(np.ones(5)))
 
 
+def test_zero_reference_is_a_config_error():
+    zero = grid(np.zeros(4))
+    for rec in (zero, grid(np.ones(4))):
+        for metric in (psnr, harness.l2_relative):
+            with pytest.raises(ConfigError, match="reference is zero"):
+                metric(rec, zero)
+
+
 def test_error_map_floor_and_values():
     a = grid(np.ones((4, 4)))
     m = error_maps(a, a)

@@ -3,17 +3,22 @@
 The window is symmetric about 1/2, and so is the Gauss-Legendre rule on
 [0, 1], so each per-axis table is a real table times phases:
 Psi_a[n, m] = e^{i pi (m - lambda_{n,a})} A_a[n, m] and
-O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  Hence Psi = D A E
-and T o M = D (R o M) D^H for any mask M, with R = (A_1 G_1) o (A_2 G_2)
-real, D = diag(e^{-i pi sum_a lambda_{n,a}}) and
-E = diag((-1)^{sum_a m_a}).  `build_plan` inverts the real A and R o M.
+O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  A_a is a real sum
+over the upper half of the rule (`recon._half_rule_sums`, which
+`build_psi` returns per axis), checked here against the de-phased
+full-rule oracle, as is the quadrature drift taken from the same sum.
+G_a = |O_a| is the window spectrum's magnitude, which `build_omega`
+multiplies by the phase.  Hence Psi = D A E and T o M = D (R o M) D^H for
+any mask M, with R = (A_1 G_1) o (A_2 G_2) real,
+D = diag(e^{-i pi sum_a lambda_{n,a}}) and E = diag((-1)^{sum_a m_a}).
+`build_plan` inverts the real A and R o M.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridfr import (asterisk, build_omega, build_psi, gaussian_window,
@@ -21,10 +26,11 @@ from gridfr import (asterisk, build_omega, build_psi, gaussian_window,
 from gridfr import recon
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.numerics import band_mask
-from gridfr.recon import (_diagonal_phases, _kron_rows, _real_tables,
-                          default_modes, t_matrix)
+from gridfr.recon import (_diagonal_phases, _kron_rows, _phased,
+                          default_modes, default_quad_nodes,
+                          psi_quadrature_drift, t_matrix)
 
-from oracles import dense_psi
+from oracles import _recip_window_transform, dense_psi
 
 seeds = st.integers(0, 2**32 - 1)
 rasters = st.one_of(
@@ -49,23 +55,26 @@ def offsets(raster, axis, m):
 def test_tables_are_real_up_to_phases(raster, sigma, data):
     win = gaussian_window(sigma, 1e-12, dim=raster.dim)
     modes = default_modes(raster)
-    psi_axes = build_psi(raster, win, modes)
+    nodes = default_quad_nodes(raster, modes)
     omega_axes = build_omega(raster, win, modes)
-    a_axes, g_axes = [], []
-    for axis, (p, o, m) in enumerate(zip(psi_axes, omega_axes, modes)):
-        phase = np.exp(1j * np.pi * offsets(raster, axis, m))
-        for table in (p * phase.conj(), o * phase.T):
-            assert np.abs(table.imag).max() <= 1e-13 * np.abs(table).max()
-        a_axes.append((p * phase.conj()).real)
-        g_axes.append((o * phase.T).real)
-    # the package's de-phased tables are these real parts
-    for got, want in zip(_real_tables(psi_axes, raster), a_axes):
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-15 * np.abs(want).max())
-    for got, want in zip(_real_tables([o.conj().T for o in omega_axes],
-                                      raster), g_axes):
-        np.testing.assert_allclose(got.T, want, rtol=0,
-                                   atol=1e-15 * np.abs(want).max())
+    a_axes = build_psi(raster, win, modes)
+    psi_axes = _phased(a_axes, raster, modes)
+    # the window spectrum is positive, so G_a is Omega's magnitude
+    g_axes = [np.abs(o) for o in omega_axes]
+    for axis, m in enumerate(modes):
+        off = offsets(raster, axis, m)
+        phase = np.exp(1j * np.pi * off)
+        # the full-rule oracle is real up to the phase
+        table = _recip_window_transform(off, win, nodes) * phase.conj()
+        assert np.abs(table.imag).max() <= 1e-13 * np.abs(table).max()
+        table = omega_axes[axis] * phase.T
+        assert np.abs(table.imag).max() <= 1e-13 * np.abs(table).max()
+        # the plan's complex tables are the real ones phased
+        for got, want in ((a_axes[axis], psi_axes[axis] * phase.conj()),
+                          (g_axes[axis], omega_axes[axis] * phase.T)):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want.real, rtol=0,
+                                       atol=1e-15 * np.abs(want).max())
 
     d = np.exp(-1j * np.pi * raster.points.reshape(len(raster), -1).sum(axis=1))
     e = np.array([(-1.0) ** sum(k) for k in itertools.product(
@@ -84,6 +93,38 @@ def test_tables_are_real_up_to_phases(raster, sigma, data):
     rebuilt = d[:, None] * masked_r * d.conj()
     assert np.linalg.norm(rebuilt - masked_t) <= \
         1e-13 * np.linalg.norm(masked_t)
+
+
+# node counts of both parities; an odd rule has a centre node at x = 1/2
+node_counts = st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raster=rasters, sigma=st.floats(0.08, 0.3), nodes=node_counts)
+@example(raster=jittered_grid(4, 0.2, 1), sigma=0.1, nodes=1)
+@example(raster=jittered_grid((2, 3), 0.2, 2), sigma=0.2, nodes=2)
+@example(raster=asterisk(4, 2, 3.0), sigma=0.3, nodes=3)
+def test_half_rule_sums_match_full_rule_oracle(raster, sigma, nodes):
+    win = gaussian_window(sigma, 1e-12, dim=raster.dim)
+    modes = default_modes(raster)
+    # rounding in either sum scales with v(0) = sum_q w_q / w(x_q), the
+    # largest entry a table can have
+    v0 = _recip_window_transform(np.zeros(1), win, nodes).real[0]
+    for axis, (a, m) in enumerate(zip(build_psi(raster, win, modes, nodes),
+                                      modes)):
+        off = offsets(raster, axis, m)
+        want = (_recip_window_transform(off, win, nodes)
+                * np.exp(-1j * np.pi * off)).real
+        np.testing.assert_allclose(a, want, rtol=0, atol=1e-13 * v0)
+
+    reach = float(np.max(raster.max_abs())) + max(modes)
+    t = np.linspace(-reach, reach, 17)
+    a, b = (_recip_window_transform(t, win, n) for n in (nodes, 2 * nodes))
+    want = np.max(np.abs(a - b))
+    got = psi_quadrature_drift(raster, win, modes, nodes)
+    # the 2n-node rule reaches nearer the edges, where 1 / w is largest
+    v0 = max(v0, _recip_window_transform(np.zeros(1), win, 2 * nodes).real[0])
+    assert abs(got - want) <= 1e-13 * v0
 
 
 @pytest.mark.parametrize("name", ["noisy-grid", "sas-wedge", "asterisk"])

@@ -1,10 +1,12 @@
-"""Psi assembled as one GEMM per axis equals the direct quadrature sum.
+"""Psi assembled from real half-rule sums equals the direct quadrature sum.
 
-`build_psi` returns one factor table per axis.  It factors
-e^{2 pi i (m - lambda) x} into e^{-2 pi i lambda x} times e^{2 pi i m x}
-and contracts the nodes with a matrix product; the oracle
-`_recip_window_transform` evaluates the unsplit exponential on the same
-Gauss-Legendre rule.
+Each entry of a per-axis table Psi_a is the Gauss-Legendre sum of
+e^{2 pi i (m - lambda) x} / w(x).  `build_psi` takes it as a real sum of
+cosines over the upper half of the rule (`recon._half_rule_sums`, two
+real matrix products per axis), and `recon._phased` multiplies that by
+e^{i pi (m - lambda)}, as `build_plan` does.  The oracle
+`_recip_window_transform` evaluates the complex exponential at every
+node of the full rule.
 """
 
 import tracemalloc
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from gridfr import build_psi, gaussian_window
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.raster import Raster
-from gridfr.recon import (_kron_rows, _recip_window_transform,
-                          default_quad_nodes)
+from gridfr.recon import _kron_rows, _phased, default_quad_nodes
+
+from oracles import _recip_window_transform
 
 # hundredths keep distinct points farther apart than the duplicate tolerance
 coord = st.integers(-6400, 6400).map(lambda k: k / 100.0)
@@ -27,7 +30,7 @@ half_extent = st.integers(0, 32)
 
 def assert_matches_oracle(raster, win, modes):
     nodes = default_quad_nodes(raster, modes)
-    tables = build_psi(raster, win, modes, nodes)
+    tables = _phased(build_psi(raster, win, modes, nodes), raster, modes)
     assert len(tables) == raster.dim
     # rounding in either sum scales with sum_q w_q / w(x_q) = v(0), the
     # largest entry a table can have, not with the largest entry of this

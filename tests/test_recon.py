@@ -20,8 +20,8 @@ from gridfr.raster import Raster
 from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
 
-from oracles import (admissibility_slope, dense_psi, no_values_only_svd,
-                     psi_entry_quad)
+from oracles import (_recip_window_transform, admissibility_slope, dense_psi,
+                     no_values_only_svd, psi_entry_quad)
 
 
 def uniform_raster(n):
@@ -58,7 +58,6 @@ def test_omega_quasi_partition_column_sums():
 
 
 def test_psi_conjugate_symmetry_in_offset():
-    from gridfr.recon import _recip_window_transform
     win = gaussian_window(0.125, 1e-12, dim=1)
     t = np.array([0.3, 1.7, -4.2, 9.9])
     a = _recip_window_transform(t, win, 512)
@@ -71,7 +70,7 @@ def test_psi_against_adaptive_quadrature():
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(12)))
     lam = rng.uniform(-8, 8, 20)
     r = Raster(dim=1, points=np.sort(lam))
-    psi, = build_psi(r, win, 8)
+    psi, = recon._phased(build_psi(r, win, 8), r, (8,))
     modes = np.arange(-8, 9)
     sigma = win.sigma
     for _ in range(20):
@@ -102,7 +101,7 @@ def test_psi_flat_window_orthonormality_hook():
 def test_psi_entry_quad_oracle_agrees():
     win = gaussian_window(0.2, 1e-12, dim=2)
     r = Raster(dim=2, points=np.array([[0.3, -1.2], [2.0, 0.7]]))
-    psi = dense_psi(build_psi(r, win, 3))
+    psi = dense_psi(recon._phased(build_psi(r, win, 3), r, (3, 3)))
     modes = [(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4)]
     k = 17
     val = psi_entry_quad(win, r.points[1], modes[k])

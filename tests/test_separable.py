@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from gridfr import (asterisk, build_omega, build_plan, build_psi,
                     gaussian_window, synthesize)
 from gridfr.raster import Raster
-from gridfr.recon import (_apply_omega, _kron_rows, _synthesize_modes,
-                          t_matrix)
+from gridfr.recon import (_apply_omega, _kron_rows, _phased,
+                          _synthesize_modes, t_matrix)
 
 from oracles import dense_omega, dense_psi, synthesize_fft
 
@@ -105,7 +105,7 @@ def test_omega_apply_equals_dense_kronecker(data, raster, seed, sigma):
 def test_t_matrix_equals_dense_product(data, raster, sigma):
     modes = data.draw(unequal_modes(raster.dim))
     win = gaussian_window(sigma, 1e-12, dim=raster.dim)
-    psi_t = build_psi(raster, win, modes, QUAD_NODES)
+    psi_t = _phased(build_psi(raster, win, modes, QUAD_NODES), raster, modes)
     omega_t = build_omega(raster, win, modes)
     psi, omega = dense_psi(psi_t), dense_omega(omega_t)
     got = t_matrix(psi_t, omega_t)
