@@ -4,8 +4,11 @@ Three estimators over a shared plan/synthesis pipeline — convolutional
 gridding, frame approximation (truncated pseudo-inverse of the
 cross-Gram), and frame-theoretic convolutional gridding with a banded
 quadrature matrix — plus raster generators, test scenes, metrics and an
-experiment harness with pinned presets.
+experiment harness with pinned presets.  Warnings go to the ``gridfr``
+logger, which the CLI prints to stderr and a library leaves silent.
 """
+
+import logging
 
 from .errors import ConfigError, FormatError, GridfrError, NumericalError
 from .harness import (ExperimentConfig, MetricsReport, error_maps, l2_relative,
@@ -27,3 +30,5 @@ from .window import (WindowSpec, gaussian_window, spectrum_factor,
                      truncation_radius, window_coefficient)
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -2,13 +2,15 @@
 
 Subcommands: gen-raster, sample, reconstruct, metrics, run, sweep.
 Exit codes: 0 success, 2 configuration/format error, 3 numerical
-failure (rank collapse).
+failure (rank collapse).  Warnings logged to the ``gridfr`` logger while
+a command runs print to stderr as ``warning: ...`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import math
 import os
 import sys
@@ -234,6 +236,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("gridfr").addHandler(handler)
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, FormatError, FileNotFoundError) as exc:
@@ -242,6 +247,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logging.getLogger("gridfr").removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ raster.csv, samples.csv, reference.csv/.pgm, scene.pgm, per method
 recon_<m>.csv/.pgm and error_<m>.pgm (log10 |recon - reference|),
 metrics.csv (METRIC_COLUMNS, a row per method) and timings.json.  With
 ftcg, tmatrix.pgm shows all of |T| for T = Psi Omega, and tmatrix.csv
-lists the entries the band keeps.  The CSV formats are described in
-`raster`.
+lists the entries the band keeps.  Both are written from the plan's real
+R (`recon.t_matrix`), as |T| = |D R D^H| = |R| entrywise.  The CSV
+formats are described in `raster`.
 
 PSNR convention: computed on the complex difference against the
 windowed-partial-sum reference, peak taken from the reference; a
@@ -555,9 +556,9 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
         save_pgm(img.values, join(f"recon_{method}.pgm"), peak=peak)
         save_error_map(img, reference, join(f"error_{method}.pgm"))
     if "ftcg" in plan.methods:
-        tmat = t_matrix(plan.psi_axes, plan.omega_axes)
-        save_magnitude_csv(tmat, plan.band, join("tmatrix.csv"))
-        save_pgm(tmat, join("tmatrix.pgm"))
+        rmat = t_matrix(plan.psi_axes, plan.omega_axes)    # |T| = |R|
+        save_magnitude_csv(rmat, plan.band, join("tmatrix.csv"))
+        save_pgm(rmat, join("tmatrix.pgm"))
     with open(join("metrics.csv"), "w") as fh:
         fh.write("# gridfr metrics v1\n")
         fh.write("# psnr_db / l2_rel are against the windowed Fourier "

@@ -10,27 +10,10 @@ e^{2 pi i g m / G_a} / w(g / G_a) a per-axis DFT matrix that carries the
 window division (cached per M, G and sigma).  They differ in how the
 coefficients come out of the scattered Fourier data f_hat(lambda_n):
 
-* gridding (cg):   gamma = Omega D f_hat, D diagonal density weights;
-* frame:           beta  = B f_hat with B the truncated pseudo-inverse
-                   of the cross-Gram Psi;
-* ftcg:            tau   = Omega C f_hat with C the pseudo-inverse of
-                   the band-masked square system T = Psi Omega.
-
-Psi and the masked T are real matrices between unit-modulus diagonals,
-Psi = D A E and T o M = D (R o M) D^H (see `ReconPlan`), so B = E A^+ D^H
-and C = D (R o M)^+ D^H: every factorization runs in real arithmetic, and
-B and C are formed from the real inverses in one scaling pass.  The
-inverses come from `numerics.pseudo_inverse`, which picks the
-factorization by shape: a tall A (P > Q) gets a QR inverse, and a
-square A or the masked R an LU inverse, where norm bounds certify full
-rank at rtol; a square matrix that drops a few singular values gets an
-LU inverse after deflating those that subspace iteration on the first
-LU inverse finds, where norm bounds certify that split; any other
-matrix takes the truncated SVD (sas-wedge's square 625 x 625 A does,
-with rank 585 at seed 101).  The phases change no singular value, so
-`meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's and the masked T's
-ranks and singular values (bounds, except after the SVD) and name the
-factorization that ran.
+* gridding (cg):   gamma = Omega W f_hat, W diagonal density weights;
+* frame:           beta  = Psi^+ f_hat, Psi's truncated pseudo-inverse;
+* ftcg:            tau   = Omega (T o M)^+ f_hat, T = Psi Omega and M
+                   the band mask.
 
 Matrix conventions (P raster points, Q modes, row-major flattening of
 the 2D mode lattice):
@@ -38,16 +21,26 @@ the 2D mode lattice):
     Psi[n, m]   = int_[0,1]^d exp(2 pi i <m - lambda_n, x>) / w(x) dx     (P x Q)
     Omega[m, n] = w_hat(m - lambda_n), zero beyond the truncation radius (Q x P)
 
-so T = Psi Omega is P x P and a full band makes C = T^+ collapse FTCG
-onto the frame solve.  Entries separate across axes: Psi[n, m] =
-prod_a Psi_a[n, m_a] and Omega[m, n] = prod_a O_a[m_a, n], with per-axis
-tables Psi_a (P x (2M_a+1)), each a phase times the real table A_a from
-`build_psi`, and O_a ((2M_a+1) x P) from `build_omega`; a plan holds
-these tables.  Only the frame solve forms a dense P x Q matrix, Psi's
-real counterpart A.  Omega is never formed: gridding v is
-((O_1 * v) @ O_2^T).ravel().  `t_matrix` forms T = (Psi_1 O_1) *
-(Psi_2 O_2) entrywise, without the P x Q x P product, and R the same
-way from the real tables.
+so T is P x P and a full band makes FTCG collapse onto the frame solve.
+Window and quadrature rule are symmetric about 1/2, so Psi = D A E,
+Omega = E G D^H and T o M = D (R o M) D^H with A, G and R = A G real,
+D = diag(d), d_n = e^{-i pi sum_a lambda_{n,a}}, and E = diag(e),
+e_m = (-1)^{sum_a m_a}.  Entries separate across axes: A[n, m] =
+prod_a A_a[n, m_a] and G[m, n] = prod_a G_a[m_a, n], with real per-axis
+tables A_a (P x (2M_a+1), `build_psi`) and G_a ((2M_a+1) x P,
+`build_omega`).  A plan holds the tables, d, e and the real inverses,
+and `coefficients` applies each estimator as e times a real operator on
+w = conj(d) f_hat, taking w's real and imaginary parts in turn:
+
+    gamma = e o G (W w),   beta = e o A^+ w,   tau = e o G (R o M)^+ w.
+
+Only the frame solve forms the dense A; `_apply_omega` applies G one
+axis at a time, and `t_matrix` forms R = (A_1 G_1) o (A_2 G_2) entrywise.
+The inverses come from `numerics.pseudo_inverse` (QR, LU, deflated LU
+or the truncated SVD, as its docstring says).  The phases change no
+singular value, so `meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's
+and the masked T's ranks and singular values (bounds, except after the
+SVD) and name the factorization that ran.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -60,6 +53,7 @@ reconstruction quality gates in the test suite.
 from __future__ import annotations
 
 import functools
+import logging
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -72,10 +66,11 @@ from .numerics import (band_mask, band_pairs, default_band, density_weights,
                        pseudo_inverse)
 from .raster import Raster, read_rows
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
-from .window import (WindowSpec, gauss_legendre_01, spectrum_factor,
+from .window import (WindowSpec, gauss_legendre_01, spectrum_magnitude,
                      truncation_radius, window_coefficient, window_values)
 
 METHODS = ("cg", "frame", "ftcg")
+_log = logging.getLogger("gridfr")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,30 +79,22 @@ class ReconPlan:
 
     Immutable after construction (`build_plan` marks its arrays
     read-only); reusable for any SampleSet taken on the same raster.
-    Plans compare and hash by identity.  `psi_axes` and `omega_axes`
-    hold Psi and Omega as their per-axis tables (see the module
-    docstring).  The dense Psi, Omega and T are not held: `psi`, `omega`
-    and `tmat` are always None, and `t_matrix` forms T from the tables.
-
-    The window is symmetric about 1/2, and so is the Gauss-Legendre rule
-    on [0, 1], so each table is a real table times phases:
-    Psi_a[n, m] = e^{i pi (m - lambda_{n,a})} A_a[n, m] and
-    O_a[m, n] = e^{-i pi (m - lambda_{n,a})} G_a[m, n].  A_a is the real
-    half-rule sum from `build_psi`, and `psi_axes` holds the A_a phased;
-    G_a = |O_a| is the window spectrum's magnitude.  Hence
-    Psi = D A E, with A the row-wise Kronecker product of the A_a (real,
-    P x Q), D = diag(e^{-i pi sum_a lambda_{n,a}}) and
-    E = diag((-1)^{sum_a m_a}), and T o M = D (R o M) D^H for any mask M,
-    with R = (A_1 G_1) o (A_2 G_2) real.  `bmat` = E A^+ D^H and
-    `cmat` = D (R o M)^+ D^H are formed from the real inverses.
+    Plans compare and hash by identity.  It holds only real operators
+    and the phases (see the module docstring): `psi_axes` the tables A_a,
+    `omega_axes` the tables G_a = |O_a|, `phases` the diagonals (d, e) of
+    D and E, `dvec` cg's density weights, `bmat` = A^+ (Q x P) and
+    `cmat` = (R o M)^+ (P x P).  Every array but d is float64;
+    `coefficients` applies D^H to the data vector and E to the result.
+    `psi`, `omega` and `tmat` are always None, and `t_matrix` forms R
+    from the tables (|T| = |R| entrywise).
     `rtol` is the threshold requested of both pseudo-inverses; None lets
     each use `default_rtol` of its own shape, and the applied values are
     in `meta["psi_pinv"].rtol` and `meta["c_pinv"].rtol`.  `meta`
     carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
     their enclosing total; frame_pinv includes forming A, ftcg_pinv
-    forming R), retained-rank info, any raster rescale transform, and
-    quadrature self-check drift.
+    forming R), retained-rank info, any raster rescale transform,
+    quadrature self-check drift and the warnings `build_plan` logs.
     """
 
     raster: Raster
@@ -116,11 +103,12 @@ class ReconPlan:
     methods: tuple
     band: Optional[int] = None
     rtol: Optional[float] = None
-    psi_axes: Optional[tuple] = None       # frame, ftcg: per-axis Psi tables
-    omega_axes: Optional[tuple] = None     # cg, ftcg: per-axis Omega tables
+    psi_axes: Optional[tuple] = None       # frame, ftcg: per-axis A_a
+    omega_axes: Optional[tuple] = None     # cg, ftcg: per-axis G_a
+    phases: Optional[tuple] = None         # (d, e): diagonals of D and E
     dvec: Optional[np.ndarray] = None      # cg diagonal weights
-    bmat: Optional[np.ndarray] = None      # frame: pinv(Psi)
-    cmat: Optional[np.ndarray] = None      # ftcg: pinv(T o B_r)
+    bmat: Optional[np.ndarray] = None      # frame: pinv(A)
+    cmat: Optional[np.ndarray] = None      # ftcg: pinv(R o M)
     meta: dict = field(default_factory=dict)
 
     psi = omega = tmat = property(lambda self: None)
@@ -213,20 +201,12 @@ def build_psi(raster: Raster, window: WindowSpec, modes=None,
     axis, the Gauss-Legendre sum Psi_a[n, m] of e^{2 pi i (m - lambda) x} /
     w(x) at lambda = lambda_{n,a} taken in real arithmetic over half the
     rule (`_half_rule_sums`): Psi_a[n, m] = e^{i pi (m - lambda_{n,a})}
-    A_a[n, m] (`_phased`) and Psi[n, m] = prod_a Psi_a[n, m_a]."""
+    A_a[n, m] and Psi[n, m] = prod_a Psi_a[n, m_a]."""
     modes = _axis_modes(raster, modes)
     if quad_nodes is None:
         quad_nodes = default_quad_nodes(raster, modes)
     return tuple(_half_rule_sums(raster.coords(axis), m, window.sigma,
                                  quad_nodes) for axis, m in enumerate(modes))
-
-
-def _phased(a_axes, raster: Raster, modes) -> tuple:
-    """Psi's tables e^{i pi (m - lambda_{n,a})} A_a[n, m] from the real A_a,
-    as e^{-i pi lambda_{n,a}} A_a[n, m] (-1)^m."""
-    return tuple(_rephased(a, np.exp(-1j * np.pi * raster.coords(axis)),
-                           1.0 - 2.0 * (np.arange(-m, m + 1) % 2))
-                 for axis, (a, m) in enumerate(zip(a_axes, modes)))
 
 
 def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
@@ -243,18 +223,15 @@ def psi_quadrature_drift(raster: Raster, window: WindowSpec, modes,
 
 
 def build_omega(raster: Raster, window: WindowSpec, modes=None) -> tuple:
-    """Per-axis factors of the window-spectrum gridding matrix Omega (Q x P).
-
-    Table a is (2M_a+1) x P with entry (m_a, n) = w_hat(m_a - lambda_{n,a}),
-    exact zero where the offset exceeds the truncation radius K; Omega's
-    entry (m, n) is their product over axes.  `_apply_omega` applies it.
-    """
+    """Per-axis real factors of the window-spectrum gridding matrix Omega
+    (Q x P): table a is (2M_a+1) x P with entry (m, n) = |w_hat(m -
+    lambda_{n,a})|, exact zero beyond the truncation radius K, so
+    Omega[m, n] = prod_a e^{-i pi (m_a - lambda_{n,a})} G_a[m_a, n]."""
     modes = _axis_modes(raster, modes)
     factors = []
-    for axis in range(raster.dim):
-        marr = np.arange(-modes[axis], modes[axis] + 1)
-        d = marr[:, None] - raster.coords(axis)[None, :]
-        f = spectrum_factor(d, window.sigma)
+    for axis, m in enumerate(modes):
+        d = np.arange(-m, m + 1)[:, None] - raster.coords(axis)[None, :]
+        f = spectrum_magnitude(d, window.sigma)
         f[np.abs(d) > window.K] = 0.0
         factors.append(f)
     return tuple(factors)
@@ -271,7 +248,8 @@ def _kron_rows(factors) -> np.ndarray:
 
 
 def _apply_omega(tables, v) -> np.ndarray:
-    """Omega @ v from Omega's per-axis tables, one axis at a time."""
+    """The Kronecker product of per-axis (2M_a+1) x P tables applied to the
+    P-vector v, one axis at a time."""
     if len(tables) == 1:
         return tables[0] @ v
     o1, o2 = tables
@@ -279,9 +257,9 @@ def _apply_omega(tables, v) -> np.ndarray:
 
 
 def t_matrix(psi_axes, omega_axes) -> np.ndarray:
-    """The dense T = Psi Omega (P x P) from the per-axis tables: the
-    entrywise product over axes of the P x P products Psi_a O_a.  Given
-    the real tables A_a and G_a instead, it forms the real R."""
+    """The dense R = A G (P x P) from a plan's per-axis tables: the
+    entrywise product over axes of the P x P products A_a G_a.  Given
+    the phased tables Psi_a and O_a instead, it forms T = D R D^H."""
     out = psi_axes[0] @ omega_axes[0]
     for p, o in zip(psi_axes[1:], omega_axes[1:]):
         out *= p @ o
@@ -295,13 +273,6 @@ def _diagonal_phases(raster: Raster, modes) -> tuple:
     e = _kron_rows([1.0 - 2.0 * (np.arange(-m, m + 1)[None, :] % 2)
                     for m in modes])[0]
     return d, e
-
-
-def _rephased(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """diag(left) x diag(right) for real x, as one new complex array."""
-    out = np.multiply.outer(left, right)
-    out *= x
-    return out
 
 
 # ------------------------------------------------------------------- plans
@@ -338,6 +309,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     if np.any(np.array(modes) < np.floor(max_abs)):
         meta["mode_box_warning"] = (
             f"mode box {modes} does not cover data extent {max_abs.round(3)}")
+        _log.warning(meta["mode_box_warning"])
 
     psi_axes = omega_axes = dvec = bmat = cmat = None
     if quad_nodes is None:
@@ -346,36 +318,24 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         raise ConfigError(f"quad_nodes must be at least 1, got {quad_nodes}")
 
     if {"frame", "ftcg"} & set(methods):
-        a_axes = stage("psi", build_psi, raster, window, modes, quad_nodes)
-        psi_axes = _phased(a_axes, raster, modes)
+        psi_axes = stage("psi", build_psi, raster, window, modes, quad_nodes)
         drift = stage("drift", psi_quadrature_drift, raster, window, modes,
                       quad_nodes)
         meta["psi_quad_drift"] = drift
         if drift > 1e-8:
             meta["psi_quad_warning"] = (
                 f"quadrature drift {drift:.2e} above 1e-8; raise quad_nodes")
+            _log.warning(meta["psi_quad_warning"])
     if {"cg", "ftcg"} & set(methods):
         omega_axes = stage("omega", build_omega, raster, window, modes)
     if "cg" in methods:
         dvec = stage("density", density_weights, raster)
-    # Psi = D A E and T o M = D (R o M) D^H (see ReconPlan): the real A and
-    # R o M are inverted and the phases put back on their inverses
-    def ftcg_pinv():
-        g_axes = [np.abs(o) for o in omega_axes]
-        rinv, info = pseudo_inverse(band_mask(t_matrix(a_axes, g_axes), band),
-                                    rtol)
-        d, _ = _diagonal_phases(raster, modes)
-        return _rephased(rinv, d, d.conj()), info
-
-    def frame_pinv():
-        ainv, info = pseudo_inverse(_kron_rows(a_axes), rtol)
-        d, e = _diagonal_phases(raster, modes)
-        return _rephased(ainv, e, d.conj()), info
-
+    # the real A and R o M are inverted; `coefficients` applies the phases.
     # C before B: the masked R's inversion needs the most memory, so it
     # runs while neither B nor the dense A is held, nor R once masked
     if "ftcg" in methods:
-        cmat, cinfo = stage("ftcg_pinv", ftcg_pinv)
+        cmat, cinfo = stage("ftcg_pinv", lambda: pseudo_inverse(
+            band_mask(t_matrix(psi_axes, omega_axes), band), rtol))
         meta["c_pinv"] = cinfo
         # the retained spectra of the masked system and of its pseudo-
         # inverse are reciprocal, so the two condition numbers coincide
@@ -383,19 +343,22 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["kappa_c"] = cinfo.kappa
         meta["kept_fraction"] = kept / len(raster) ** 2
     if "frame" in methods:
-        bmat, info = stage("frame_pinv", frame_pinv)
+        bmat, info = stage("frame_pinv", lambda: pseudo_inverse(
+            _kron_rows(psi_axes), rtol))
         meta["psi_pinv"] = info
         meta["kappa_psi"] = info.kappa
     timings["total"] = time.perf_counter() - t0
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes
-    for arr in (dvec, bmat, cmat, *(psi_axes or ()), *(omega_axes or ())):
+    phases = _diagonal_phases(raster, modes)
+    for arr in (dvec, bmat, cmat, *phases, *(psi_axes or ()),
+                *(omega_axes or ())):
         if arr is not None:
             arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
                      methods=methods, band=band, rtol=rtol, psi_axes=psi_axes,
-                     omega_axes=omega_axes, dvec=dvec, bmat=bmat, cmat=cmat,
-                     meta=meta)
+                     omega_axes=omega_axes, phases=phases, dvec=dvec,
+                     bmat=bmat, cmat=cmat, meta=meta)
 
 
 # ------------------------------------------------------------ coefficients
@@ -411,12 +374,29 @@ def coefficients(plan: ReconPlan, samples: SampleSet,
         method = plan.methods[0]
     if method not in plan.methods:
         raise ConfigError(f"plan was not built for method {method!r}")
-    f = samples.values
+    d, e = plan.phases
+    # the real operators take w = D^H f one part at a time: numpy would
+    # cast them to complex temporaries to multiply a complex vector
+    w = d.conj() * samples.values
+    parts = (w.real, w.imag)
     if method == "cg":
-        return _apply_omega(plan.omega_axes, plan.dvec * f)
-    if method == "frame":
-        return plan.bmat @ f
-    return _apply_omega(plan.omega_axes, plan.cmat @ f)
+        re, im = (_apply_omega(plan.omega_axes, plan.dvec * v) for v in parts)
+    elif method == "frame":
+        re, im = _real_matvecs(plan.bmat, parts)
+    else:
+        re, im = (_apply_omega(plan.omega_axes, v)
+                  for v in _real_matvecs(plan.cmat, parts))
+    return e * (re + 1j * im)
+
+
+def _real_matvecs(x: np.ndarray, parts) -> list:
+    """x @ v for each real vector v in `parts`: one GEMM over them up to
+    500,000 entries, else one GEMV each.  With OpenBLAS on 2 cores, two
+    GEMVs on a 625 x 625 x ran on one core (0.32 ms; GEMM 0.15 ms), and
+    the GEMM packs a 900 x 900 x first (0.52 ms; GEMVs 0.36 ms)."""
+    if x.size <= 500_000:
+        return list((x @ np.column_stack(parts)).T)
+    return [x @ v for v in parts]
 
 
 def synthesize(coeffs: np.ndarray, plan: ReconPlan, grid_size=None,
@@ -562,7 +542,10 @@ def save_pgm(values: np.ndarray, path, peak: Optional[float] = None) -> None:
     mag = np.abs(np.atleast_2d(np.asarray(values)))
     if peak is None or peak <= 0:
         peak = float(mag.max()) or 1.0
-    img = (np.clip(mag / peak, 0.0, 1.0) * 255).astype(np.uint8)
+    mag /= peak         # in place: |T| is P x P in tmatrix.pgm
+    np.clip(mag, 0.0, 1.0, out=mag)
+    mag *= 255
+    img = mag.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())

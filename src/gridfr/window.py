@@ -70,11 +70,15 @@ def window_values(x, sigma: float):
     return np.exp(-((x - 0.5) ** 2) / (2.0 * sigma**2))
 
 
-def spectrum_factor(xi, sigma: float):
-    """1D closed-form spectrum sqrt(2pi) s exp(-2 pi^2 s^2 xi^2) e^{-i pi xi}."""
+def spectrum_magnitude(xi, sigma: float):
+    """1D |w_hat(xi)| = sqrt(2pi) s exp(-2 pi^2 s^2 xi^2)."""
     xi = np.asarray(xi, dtype=float)
-    mag = math.sqrt(2.0 * math.pi) * sigma * np.exp(-2.0 * np.pi**2 * sigma**2 * xi**2)
-    return mag * np.exp(-1j * np.pi * xi)
+    return math.sqrt(2.0 * math.pi) * sigma * np.exp(-2.0 * np.pi**2 * sigma**2 * xi**2)
+
+
+def spectrum_factor(xi, sigma: float):
+    """1D closed-form spectrum |w_hat(xi)| e^{-i pi xi}."""
+    return spectrum_magnitude(xi, sigma) * np.exp(-1j * np.pi * np.asarray(xi, float))
 
 
 @lru_cache(maxsize=16)

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 
 from gridfr import numerics
+from gridfr.recon import t_matrix
 from gridfr.window import gauss_legendre_01, window_values
 
 
@@ -36,6 +37,38 @@ def dense_omega(tables) -> np.ndarray:
     if len(tables) == 1:
         return tables[0]
     return np.einsum("ap,bp->abp", *tables).reshape(-1, tables[0].shape[1])
+
+
+def _phased(a_axes, raster, modes) -> tuple:
+    """Psi's per-axis tables e^{i pi (m - lambda_{n,a})} A_a[n, m] from the
+    real A_a of `build_psi`, as e^{-i pi lambda_{n,a}} A_a[n, m] (-1)^m."""
+    return tuple(np.multiply.outer(np.exp(-1j * np.pi * raster.coords(axis)),
+                                   1.0 - 2.0 * (np.arange(-m, m + 1) % 2)) * a
+                 for axis, (a, m) in enumerate(zip(a_axes, modes)))
+
+
+def _phased_omega(g_axes, raster, modes) -> tuple:
+    """Omega's per-axis tables e^{-i pi (m - lambda_{n,a})} G_a[m, n] from
+    the real G_a of `build_omega`: the conjugate phases of `_phased`."""
+    return tuple(t.T.conj() for t in
+                 _phased([g.T for g in g_axes], raster, modes))
+
+
+def rephased(x, left, right) -> np.ndarray:
+    """diag(left) x diag(right)."""
+    return left[:, None] * x * right
+
+
+def plan_psi(plan) -> np.ndarray:
+    """The complex Psi = D A E a plan stands for (P x Q)."""
+    d, e = plan.phases
+    return rephased(dense_psi(plan.psi_axes), d, e)
+
+
+def plan_t(plan) -> np.ndarray:
+    """The complex T = Psi Omega = D R D^H a plan stands for (P x P)."""
+    d, _ = plan.phases
+    return rephased(t_matrix(plan.psi_axes, plan.omega_axes), d, d.conj())
 
 
 def synthesize_fft(coeffs, modes, grid, sigma) -> np.ndarray:

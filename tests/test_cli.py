@@ -110,6 +110,21 @@ def test_run_config_file(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+def test_run_prints_plan_warnings(tmp_path, capsys):
+    # 8 Gauss-Legendre nodes cannot integrate Psi's entries on this grid
+    cfg = {"name": "q8", "dim": 1, "scene": {"kind": "sine"},
+           "raster": {"kind": "jittered_grid", "extents": 8},
+           "window": {"sigma": 0.125}, "modes": 8, "quad_nodes": 8}
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps(cfg))
+    for _ in range(2):      # one line per plan build, however many runs
+        assert main(["run", "--config", str(path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: quadrature drift ")
+        assert err[0].endswith(" above 1e-8; raise quad_nodes")
+
+
 def test_run_preset_with_override_builds_once(monkeypatch, capsys):
     built = []
     fresh = harness.build_plan

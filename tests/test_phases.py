@@ -8,10 +8,11 @@ over the upper half of the rule (`recon._half_rule_sums`, which
 `build_psi` returns per axis), checked here against the de-phased
 full-rule oracle, as is the quadrature drift taken from the same sum.
 G_a = |O_a| is the window spectrum's magnitude, which `build_omega`
-multiplies by the phase.  Hence Psi = D A E and T o M = D (R o M) D^H for
+returns per axis.  Hence Psi = D A E and T o M = D (R o M) D^H for
 any mask M, with R = (A_1 G_1) o (A_2 G_2) real,
 D = diag(e^{-i pi sum_a lambda_{n,a}}) and E = diag((-1)^{sum_a m_a}).
-`build_plan` inverts the real A and R o M.
+`build_plan` inverts the real A and R o M, and a plan holds no complex
+array but d.
 """
 
 import itertools
@@ -21,16 +22,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridfr import (asterisk, build_omega, build_psi, gaussian_window,
-                    jittered_grid, rescale_to_box, sas_wedge)
+from gridfr import (asterisk, build_omega, build_psi, coefficients,
+                    gaussian_window, jittered_grid, rescale_to_box, sas_wedge)
 from gridfr import recon
 from gridfr.harness import preset_config, raster_from_config
-from gridfr.numerics import band_mask
-from gridfr.recon import (_diagonal_phases, _kron_rows, _phased,
-                          default_modes, default_quad_nodes,
-                          psi_quadrature_drift, t_matrix)
+from gridfr.numerics import _svd_pinv, band_mask
+from gridfr.sampling import SampleSet
+from gridfr.recon import (_diagonal_phases, _kron_rows, default_modes,
+                          default_quad_nodes, psi_quadrature_drift, t_matrix)
+from gridfr.window import spectrum_factor
 
-from oracles import _recip_window_transform, dense_psi
+from oracles import (_phased, _phased_omega, _recip_window_transform,
+                     dense_omega, dense_psi)
 
 seeds = st.integers(0, 2**32 - 1)
 rasters = st.one_of(
@@ -56,20 +59,25 @@ def test_tables_are_real_up_to_phases(raster, sigma, data):
     win = gaussian_window(sigma, 1e-12, dim=raster.dim)
     modes = default_modes(raster)
     nodes = default_quad_nodes(raster, modes)
-    omega_axes = build_omega(raster, win, modes)
+    g_axes = build_omega(raster, win, modes)
     a_axes = build_psi(raster, win, modes)
     psi_axes = _phased(a_axes, raster, modes)
-    # the window spectrum is positive, so G_a is Omega's magnitude
-    g_axes = [np.abs(o) for o in omega_axes]
+    omega_axes = _phased_omega(g_axes, raster, modes)
     for axis, m in enumerate(modes):
         off = offsets(raster, axis, m)
         phase = np.exp(1j * np.pi * off)
         # the full-rule oracle is real up to the phase
         table = _recip_window_transform(off, win, nodes) * phase.conj()
         assert np.abs(table.imag).max() <= 1e-13 * np.abs(table).max()
-        table = omega_axes[axis] * phase.T
+        # so is the truncated window spectrum, which is positive: G_a is
+        # its magnitude
+        table = spectrum_factor(off.T, win.sigma) * phase.T
+        table[np.abs(off.T) > win.K] = 0.0
         assert np.abs(table.imag).max() <= 1e-13 * np.abs(table).max()
-        # the plan's complex tables are the real ones phased
+        assert g_axes[axis].dtype == np.float64
+        np.testing.assert_allclose(g_axes[axis], table.real, rtol=0,
+                                   atol=1e-15 * np.abs(table).max())
+        # the complex tables are the real ones phased
         for got, want in ((a_axes[axis], psi_axes[axis] * phase.conj()),
                           (g_axes[axis], omega_axes[axis] * phase.T)):
             assert got.dtype == np.float64
@@ -143,4 +151,47 @@ def test_build_plan_factors_only_real_matrices(monkeypatch, name):
     plan = recon.build_plan(raster, win, cfg.modes, band=cfg.band,
                             rtol=cfg.rtol)
     assert seen == [np.float64, np.float64]
-    assert plan.bmat.dtype == plan.cmat.dtype == np.complex128
+    assert plan.bmat.dtype == plan.cmat.dtype == np.float64
+
+
+jittered = st.one_of(
+    st.builds(jittered_grid, st.integers(1, 12), st.floats(0.0, 0.45), seeds),
+    st.builds(jittered_grid, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+              st.floats(0.0, 0.45), seeds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(raster=jittered, seed=seeds, data=st.data())
+def test_real_plan_coefficients_match_complex_oracles(raster, seed, data):
+    # the plan holds A^+, (R o M)^+ and G and applies D and E to each data
+    # vector; the oracles form the complex Psi and Omega entry by entry
+    # (the full quadrature rule and the closed-form spectrum) and invert
+    # by SVD at the ranks' thresholds
+    win = gaussian_window(0.125 if raster.dim == 1 else 0.2, 1e-12,
+                          dim=raster.dim)
+    band = data.draw(st.integers(1, len(raster)), label="band")
+    plan = recon.build_plan(raster, win, band=band)
+    nodes = plan.meta["quad_nodes"]
+    psi = dense_psi([_recip_window_transform(offsets(raster, axis, m), win,
+                                             nodes)
+                     for axis, m in enumerate(plan.modes)])
+    omega_axes = []
+    for axis, m in enumerate(plan.modes):
+        off = offsets(raster, axis, m).T
+        omega_axes.append(np.where(np.abs(off) > win.K, 0.0,
+                                   spectrum_factor(off, win.sigma)))
+    omega = dense_omega(omega_axes)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    f = rng.normal(size=len(raster)) + 1j * rng.normal(size=len(raster))
+    b = _svd_pinv(psi, plan.meta["psi_pinv"].rtol)[0]
+    c = _svd_pinv(band_mask(psi @ omega, band), plan.meta["c_pinv"].rtol)[0]
+    want = {"cg": (omega @ (plan.dvec * f), 1.0),
+            "frame": (b @ f, plan.meta["kappa_psi"]),
+            "ftcg": (omega @ (c @ f), plan.meta["kappa_c"])}
+    for method, (w, kappa) in want.items():
+        got = coefficients(plan, SampleSet(plan.raster_ref, f), method)
+        # 1e-10 relative up to kappa = 1e5; beyond, the oracles' own
+        # rounding (~1e-16 of Psi's entries) grows with kappa, which 300
+        # random draws showed as up to 8e-17 kappa
+        tol = 1e-10 * max(1.0, kappa / 1e5)
+        assert np.linalg.norm(got - w) <= tol * np.linalg.norm(w), method

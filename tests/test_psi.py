@@ -3,8 +3,8 @@
 Each entry of a per-axis table Psi_a is the Gauss-Legendre sum of
 e^{2 pi i (m - lambda) x} / w(x).  `build_psi` takes it as a real sum of
 cosines over the upper half of the rule (`recon._half_rule_sums`, two
-real matrix products per axis), and `recon._phased` multiplies that by
-e^{i pi (m - lambda)}, as `build_plan` does.  The oracle
+real matrix products per axis), and `oracles._phased` multiplies that by
+e^{i pi (m - lambda)}.  The oracle
 `_recip_window_transform` evaluates the complex exponential at every
 node of the full rule.
 """
@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from gridfr import build_psi, gaussian_window
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.raster import Raster
-from gridfr.recon import _kron_rows, _phased, default_quad_nodes
+from gridfr.recon import _kron_rows, default_quad_nodes
 
-from oracles import _recip_window_transform
+from oracles import _phased, _recip_window_transform
 
 # hundredths keep distinct points farther apart than the duplicate tolerance
 coord = st.integers(-6400, 6400).map(lambda k: k / 100.0)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from gridfr.raster import Raster
 from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
 
-from oracles import (_recip_window_transform, admissibility_slope, dense_psi,
-                     no_values_only_svd, psi_entry_quad)
+from oracles import (_phased, _phased_omega, _recip_window_transform,
+                     admissibility_slope, dense_psi, no_values_only_svd,
+                     plan_psi, plan_t, psi_entry_quad, rephased)
 
 
 def uniform_raster(n):
@@ -51,7 +56,8 @@ def test_omega_quasi_partition_column_sums():
     # window neighbor terms; those sit below 1e-6 for sigma <= ~1/11
     win = gaussian_window(1 / 12, 1e-12, dim=1)
     r = jittered_grid(16, 0.25, 5)
-    om, = build_omega(r, win, 16 + win.K)
+    modes = 16 + win.K
+    om, = _phased_omega(build_omega(r, win, modes), r, (modes,))
     sums = om.sum(axis=0)
     assert np.max(np.abs(sums - sums.mean())) < 1e-6
     assert abs(sums.mean() - window_values(0.0, 1 / 12)) < 1e-6
@@ -70,7 +76,7 @@ def test_psi_against_adaptive_quadrature():
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(12)))
     lam = rng.uniform(-8, 8, 20)
     r = Raster(dim=1, points=np.sort(lam))
-    psi, = recon._phased(build_psi(r, win, 8), r, (8,))
+    psi, = _phased(build_psi(r, win, 8), r, (8,))
     modes = np.arange(-8, 9)
     sigma = win.sigma
     for _ in range(20):
@@ -101,7 +107,7 @@ def test_psi_flat_window_orthonormality_hook():
 def test_psi_entry_quad_oracle_agrees():
     win = gaussian_window(0.2, 1e-12, dim=2)
     r = Raster(dim=2, points=np.array([[0.3, -1.2], [2.0, 0.7]]))
-    psi = dense_psi(recon._phased(build_psi(r, win, 3), r, (3, 3)))
+    psi = dense_psi(_phased(build_psi(r, win, 3), r, (3, 3)))
     modes = [(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4)]
     k = 17
     val = psi_entry_quad(win, r.points[1], modes[k])
@@ -146,7 +152,8 @@ def test_frame_plan_rowspace_identity():
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(12, 0.25, 21)
     plan = build_plan(r, win, 12, methods=("frame",))
-    psi, b = dense_psi(plan.psi_axes), plan.bmat
+    d, e = plan.phases
+    psi, b = plan_psi(plan), rephased(plan.bmat, e, d.conj())
     assert np.linalg.norm(psi @ b @ psi - psi) / np.linalg.norm(psi) < 1e-8
 
 
@@ -297,11 +304,27 @@ def test_admissibility_decay_slope():
     assert admissibility_slope(win, 8) <= -2.0
 
 
-def test_mode_box_warning_recorded():
+def test_mode_box_warning_recorded(caplog):
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(8, 0.25, 4)
     plan = build_plan(r, win, 4, methods=("cg",))  # mode box way below data extent
     assert "mode_box_warning" in plan.meta
+    assert [(rec.name, rec.levelname, rec.getMessage())
+            for rec in caplog.records] == \
+        [("gridfr", "WARNING", plan.meta["mode_box_warning"])]
+
+
+def test_library_warnings_print_nothing():
+    # the package's NullHandler keeps a caller without logging set up
+    # silent; without it, Python's last-resort handler prints to stderr
+    code = ("from gridfr import build_plan, gaussian_window, jittered_grid\n"
+            "build_plan(jittered_grid(8, 0.25, 4), gaussian_window(0.125), 4,"
+            " quad_nodes=8)\n")
+    src = os.path.dirname(os.path.dirname(recon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == done.stderr == ""
 
 
 def test_windowed_coefficients_constant_pixels_2d_separate():
@@ -334,12 +357,12 @@ def test_plan_records_each_applied_rtol():
     # thresholds differ; each inverse records its own
     win = gaussian_window(0.125, 1e-12, dim=1)
     plan = build_plan(jittered_grid(4, 0.25, 5), win, 8, band=3)
-    psi = dense_psi(plan.psi_axes)
+    psi = plan_psi(plan)
     assert psi.shape == (9, 17) and plan.rtol is None
     psi_info, c_info = plan.meta["psi_pinv"], plan.meta["c_pinv"]
     assert psi_info.rtol == pytest.approx(1.7e-9, rel=1e-12)
     assert c_info.rtol == pytest.approx(9e-10, rel=1e-12)
-    masked = band_mask(t_matrix(plan.psi_axes, plan.omega_axes), plan.band)
+    masked = band_mask(plan_t(plan), plan.band)
     assert c_info.rank == _svd_pinv(masked, c_info.rtol)[1].rank
     assert psi_info.rank == _svd_pinv(psi, psi_info.rtol)[1].rank
     # a requested rtol is the one both inverses apply
@@ -432,12 +455,14 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
     # None of them computes singular values alone.
     with no_values_only_svd():
         plan = _preset_plan(name, seed, methods)
+    d, e = plan.phases
     for key, kind in paths.items():
+        # the plan holds A^+ and (R o M)^+; B = E A^+ D^H, C = D (R o M)^+ D^H
         if key == "psi_pinv":
-            got, system = plan.bmat, dense_psi(plan.psi_axes)
+            got, system = rephased(plan.bmat, e, d.conj()), plan_psi(plan)
         else:
-            got, system = plan.cmat, band_mask(
-                t_matrix(plan.psi_axes, plan.omega_axes), plan.band)
+            got = rephased(plan.cmat, d, d.conj())
+            system = band_mask(plan_t(plan), plan.band)
         info = plan.meta[key]
         assert info.factorization == kind
         oracle, oinfo = _svd_pinv(system, info.rtol)
@@ -445,6 +470,29 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
         assert info.sigma_max >= oinfo.sigma_max * (1 - 1e-12)
         assert info.sigma_min_kept <= oinfo.sigma_min_kept * (1 + 1e-9)
+
+
+def test_coefficients_allocate_no_dense_temporary():
+    # every array a plan holds is float64 but D's diagonal, and applying
+    # the phases to the data vector never casts a real P x P or Q x P
+    # operator to a complex temporary (13 MB here)
+    plan = _preset_plan("noisy-grid", 101, recon.METHODS)
+    held = _held_arrays(plan)
+    assert held.pop("phases[0]").dtype == np.complex128
+    assert {a.dtype for a in held.values()} == {np.dtype(np.float64)}
+    p = len(plan.raster)
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(16)))
+    samples = SampleSet(plan.raster_ref, rng.normal(size=p)
+                        + 1j * rng.normal(size=p))
+    for method in recon.METHODS:
+        coefficients(plan, samples, method)
+        tracemalloc.start()
+        try:
+            coefficients(plan, samples, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 4, method
 
 
 @settings(max_examples=20, deadline=None)
@@ -484,3 +532,14 @@ def test_image_csv_round_trip(tmp_path, shape):
     for part in ("real", "imag"):
         np.testing.assert_array_equal(np.signbit(getattr(back.values, part)),
                                       np.signbit(getattr(vals, part)))
+
+
+def test_save_pgm_scales_magnitudes(tmp_path):
+    # |values| / peak, clipped to [0, 1], times 255 and truncated; the
+    # caller's array is left as it was
+    values = np.array([[3.0, -4.0], [0.0, 8.0j]])
+    for peak, pixels in ((4.0, [191, 255, 0, 255]), (None, [95, 127, 0, 255])):
+        recon.save_pgm(values, tmp_path / "a.pgm", peak=peak)
+        assert (tmp_path / "a.pgm").read_bytes() == \
+            b"P5\n2 2\n255\n" + bytes(pixels)
+    np.testing.assert_array_equal(values, [[3.0, -4.0], [0.0, 8.0j]])

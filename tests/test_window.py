@@ -7,7 +7,7 @@ from gridfr.raster import Raster
 from gridfr.sampling import _outer
 from gridfr.window import spectrum_factor, window_values
 
-from oracles import dense_omega
+from oracles import _phased_omega, dense_omega
 
 
 def test_peak_at_center():
@@ -73,7 +73,7 @@ def test_spectrum_2d_is_axis_product():
     # 2D Omega entries are w_hat(m1 - lam1) w_hat(m2 - lam2)
     win = gaussian_window(0.125, 1e-12, dim=2)
     r = Raster(dim=2, points=np.array([[0.5, 1.0]]))
-    om = dense_omega(build_omega(r, win, 2))
+    om = dense_omega(_phased_omega(build_omega(r, win, 2), r, (2, 2)))
     v = om[(1 + 2) * 5 + (-1 + 2), 0]      # mode (1, -1), row-major
     s1 = spectrum_factor(1 - 0.5, 0.125)
     s2 = spectrum_factor(-1 - 1.0, 0.125)
