@@ -7,10 +7,11 @@ The deterministic metrics go to ``metrics.csv``; wall-clock timings
 
 Artifacts of a run with an output directory: resolved_config.json,
 raster.csv, samples.csv, reference.csv/.pgm, scene.pgm, per method
-recon_<m>.csv/.pgm and error_<m>.pgm (log10 |recon - reference|),
-metrics.csv (METRIC_COLUMNS, a row per method) and timings.json.  With
-ftcg, tmatrix.pgm shows all of |T| for T = Psi Omega, and tmatrix.csv
-lists the entries the band keeps.  Both are written from the plan's real
+recon_<m>.csv/.pgm and error_<m>.pgm (log10 |recon - reference| above
+`ERROR_MAP_FLOOR` times the reference's peak), metrics.csv
+(METRIC_COLUMNS, a row per method) and timings.json.  With ftcg,
+tmatrix.pgm shows all of |T| for T = Psi Omega, and tmatrix.csv lists
+the entries the band keeps.  Both are written from the plan's real
 R (`recon.t_matrix`), as |T| = |D R D^H| = |R| entrywise.  The CSV
 formats are described in `raster`.
 
@@ -76,11 +77,22 @@ from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
                        trig_poly_scene)
 from .window import DEFAULT_TRUNC_EPS, WindowSpec, gaussian_window
 
-ERROR_MAP_FLOOR = -16.0
+# error maps floor |recon - reference| at this fraction of max |reference|,
+# above the rounding noise of the presets' images: sas-wedge's frame image
+# (kappa_psi 1.2e7, kappa * eps = 2.7e-9) moves by up to 3.3e-10 of its
+# peak when Psi moves at the 1e-13 level
+ERROR_MAP_FLOOR = 1e-9
 NOISE_SEED_OFFSET = 5000
 
 
 # ------------------------------------------------------------------ metrics
+
+def _peak(reference: ImageGrid, what: str) -> float:
+    peak = float(np.abs(reference.values).max())
+    if peak == 0.0:
+        raise ConfigError(f"the reference is zero: {what} needs a nonzero peak")
+    return peak
+
 
 def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
     """20 log10(peak / RMS error); peak = max |reference|.
@@ -89,9 +101,7 @@ def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
     """
     if recon.values.shape != reference.values.shape:
         raise ConfigError("PSNR needs matching grids")
-    peak = float(np.abs(reference.values).max())
-    if peak == 0.0:
-        raise ConfigError("the reference is zero: PSNR needs a nonzero peak")
+    peak = _peak(reference, "PSNR")
     mse = float(np.mean(np.abs(recon.values - reference.values) ** 2))
     if mse == 0.0:
         return math.inf
@@ -109,20 +119,27 @@ def linf_error(recon: ImageGrid, reference: ImageGrid) -> float:
     return float(np.abs(recon.values - reference.values).max())
 
 
+def _error_decades(recon: ImageGrid, reference: ImageGrid) -> tuple:
+    """log10 of |recon - reference| over the floor ERROR_MAP_FLOOR *
+    max |reference|, at least 0, and log10 of that floor."""
+    floor = ERROR_MAP_FLOOR * _peak(reference, "an error map")
+    ratio = np.abs(recon.values - reference.values) / floor
+    return np.log10(np.maximum(ratio, 1.0)), math.log10(floor)
+
+
 def error_maps(recon: ImageGrid, reference: ImageGrid) -> ImageGrid:
-    """Pointwise log10 |recon - reference|, floored at -16."""
-    diff = np.abs(recon.values - reference.values)
-    logmap = np.full(diff.shape, ERROR_MAP_FLOOR)
-    nz = diff > 10.0 ** ERROR_MAP_FLOOR
-    logmap[nz] = np.log10(diff[nz])
-    return ImageGrid(values=logmap.astype(complex), grid_size=recon.grid_size,
+    """Pointwise log10 |recon - reference|, floored at ERROR_MAP_FLOOR times
+    max |reference|, so that rounding-level differences read as the floor."""
+    decades, floor = _error_decades(recon, reference)
+    return ImageGrid(values=(decades + floor).astype(complex),
+                     grid_size=recon.grid_size,
                      method=f"log10-error[{recon.method}]",
                      plan_ref=recon.plan_ref)
 
 
 def save_error_map(recon: ImageGrid, reference: ImageGrid, path) -> None:
     """PGM of `error_maps`: black at the floor, white at the largest error."""
-    span = error_maps(recon, reference).values.real - ERROR_MAP_FLOOR
+    span = _error_decades(recon, reference)[0]
     save_pgm(span, path, peak=float(span.max() or 1.0))
 
 

@@ -24,6 +24,7 @@ import contextlib
 import ctypes
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -321,9 +322,10 @@ def save_magnitude_csv(a: np.ndarray, band: int, path) -> None:
     CSV format (see `raster`)."""
     a = np.asarray(a)
     rows, cols = band_pairs(_square_order(a, "save_magnitude_csv"), band)
-    np.savetxt(path, np.column_stack([rows, cols, np.abs(a[rows, cols])]),
-               fmt="%d,%d,%.8e",
-               header=f"gridfr-tmatrix v1, order={len(a)}, band={band}")
+    triples = zip(rows.tolist(), cols.tolist(), np.abs(a[rows, cols]).tolist())
+    with open(path, "w") as fh:
+        fh.write(f"# gridfr-tmatrix v1, order={len(a)}, band={band}\n")
+        fh.write(("%d,%d,%.8e\n" * len(rows)) % tuple(chain.from_iterable(triples)))
 
 
 def default_band(order: int) -> int:

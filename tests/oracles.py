@@ -6,6 +6,7 @@ guards a computation instead: it fails any SVD taken without vectors.
 """
 
 import contextlib
+import decimal
 import functools
 from unittest import mock
 
@@ -82,6 +83,31 @@ def synthesize_fft(coeffs, modes, grid, sigma) -> np.ndarray:
     img = np.fft.ifftn(arr) * np.prod(grid)
     w = [window_values(np.arange(g) / g, sigma) for g in grid]
     return img / functools.reduce(np.multiply.outer, w)
+
+
+def gauss_legendre_decimal(n: int, digits: int = 40):
+    """Gauss-Legendre nodes and weights on [0, 1] to `digits` significant
+    digits, rounded to float: Newton's method on P_n in decimal arithmetic,
+    started at numpy's `leggauss` nodes, and weights 2/((1-x^2) P_n'(x)^2)
+    halved for the unit interval."""
+    def legendre(x):
+        p0, p1 = decimal.Decimal(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    nodes, weights = [], []
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = decimal.Decimal(float(start))
+            for _ in range(3):      # quadratic from a 1e-16 start
+                p, dp = legendre(x)
+                x -= p / dp
+            dp = legendre(x)[1]
+            nodes.append(float((1 + x) / 2))
+            weights.append(float(1 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
 
 
 def _recip_window_transform(t, window, nodes: int):

@@ -48,13 +48,22 @@ def test_zero_reference_is_a_config_error():
 
 
 def test_error_map_floor_and_values():
-    a = grid(np.ones((4, 4)))
+    # the floor is 1e-9 of the reference's peak, here 4
+    a = grid(np.full((4, 4), 4.0))
     m = error_maps(a, a)
-    assert np.all(m.values.real == -16.0)
-    b = grid(np.ones((4, 4)) + 0.01)
+    np.testing.assert_allclose(m.values.real, np.log10(4e-9), rtol=0, atol=1e-12)
+    b = grid(np.full((4, 4), 4.01))
     m = error_maps(b, a)
     np.testing.assert_allclose(m.values.real, -2.0, atol=1e-12)
     assert m.values.shape == (4, 4)
+    # differences at rounding level read as the floor, one above it does not
+    offsets = np.array([2.0**-29, 2.0**-27, 2.0**-20, 0.0])    # exact on 4.0
+    c = grid(np.full((4, 4), 4.0) + offsets)
+    np.testing.assert_allclose(error_maps(c, a).values.real[0],
+                               np.log10([4e-9, 2.0**-27, 2.0**-20, 4e-9]),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ConfigError, match="reference is zero"):
+        error_maps(a, grid(np.zeros((4, 4))))
 
 
 def test_config_round_trip():

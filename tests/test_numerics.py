@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridfr import (ConfigError, NumericalError, band_mask, band_pairs,
-                    default_band, density_weights, jittered_grid,
-                    pseudo_inverse)
+                    build_plan, default_band, density_weights,
+                    gaussian_window, jittered_grid, pseudo_inverse)
 from gridfr import numerics
+from gridfr.harness import preset_config, raster_from_config
 from gridfr.numerics import _svd_pinv, default_rtol, save_magnitude_csv
 from gridfr.raster import Raster
+from gridfr.recon import t_matrix
 
 from oracles import no_values_only_svd
 
@@ -438,3 +440,25 @@ def test_tmatrix_csv_parses_back_to_band(tmp_path, nr, seed, scale):
     np.testing.assert_array_equal(j, want[1])
     # %.8e keeps nine significant digits
     np.testing.assert_allclose(table[:, 2], np.abs(a[i, j]), rtol=5e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", ["asterisk", "noisy-grid", "sas-wedge"])
+def test_tmatrix_csv_bytes_match_savetxt(tmp_path, name):
+    # the writer formats Python ints and floats in one pass; np.savetxt
+    # over a float column stack writes the same bytes, each preset's
+    # seed-101 |R| as its run writes it
+    cfg = preset_config(name, 101)
+    raster, _ = raster_from_config(cfg.raster, 101)
+    win = gaussian_window(cfg.window["sigma"], cfg.window["trunc_eps"],
+                          dim=cfg.dim)
+    plan = build_plan(raster, win, cfg.modes, ("ftcg",), band=cfg.band,
+                      quad_nodes=cfg.quad_nodes, rtol=cfg.rtol)
+    rmat = t_matrix(plan.psi_axes, plan.omega_axes)
+    save_magnitude_csv(rmat, plan.band, tmp_path / "t.csv")
+    rows, cols = band_pairs(len(rmat), plan.band)
+    np.savetxt(tmp_path / "savetxt.csv",
+               np.column_stack([rows, cols, np.abs(rmat[rows, cols])]),
+               fmt="%d,%d,%.8e",
+               header=f"gridfr-tmatrix v1, order={len(rmat)}, band={plan.band}")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        (tmp_path / "savetxt.csv").read_bytes()

@@ -1,13 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridfr import (ConfigError, build_omega, gaussian_window,
-                    truncation_radius, window_coefficient)
+from gridfr import (ConfigError, NumericalError, build_omega, gaussian_window,
+                    truncation_radius, window, window_coefficient)
 from gridfr.raster import Raster
 from gridfr.sampling import _outer
-from gridfr.window import spectrum_factor, window_values
+from gridfr.window import gauss_legendre_01, spectrum_factor, window_values
 
-from oracles import _phased_omega, dense_omega
+from oracles import _phased_omega, dense_omega, gauss_legendre_decimal
 
 
 def test_peak_at_center():
@@ -105,3 +110,99 @@ def test_closed_form_tail_documented_at_default_sigma():
     tail_bound = 2.0 * sigma * np.sqrt(2 * np.pi) * norm.sf(0.5 / sigma)
     assert np.max(np.abs(closed - quad)) <= tail_bound * 1.01
     assert np.max(np.abs(closed - quad)) > 1e-8  # genuinely not 1e-10 here
+
+
+# ------------------------------------------------- Gauss-Legendre rule
+
+EPS = np.finfo(float).eps
+ULP_HALF = np.spacing(0.5)       # one unit in the last place on [1/2, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 101))
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = gauss_legendre_01(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, 0.5 * (ref_x + 1.0), rtol=0, atol=4 * ULP_HALF)
+    # leggauss's own weights are up to 8.2e-12 off the 40-digit ones from
+    # n = 41 on (n = 90); the rule is held to 1e-12 of those below
+    if n <= 40:
+        np.testing.assert_allclose(w, 0.5 * ref_w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 31, 41, 60, 90, 100, 401])
+def test_gauss_legendre_matches_40_digit_rule(n):
+    x, w = gauss_legendre_01(n)
+    ref_x, ref_w = gauss_legendre_decimal(n)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=ULP_HALF)
+    np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
+
+
+# Gauss on n nodes is exact up to degree 2n - 1; |a| <= n leaves an error
+# below 1e-14 (about J_2n(n/2)) from n = 14 on
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 1500), frac=st.floats(-1.0, 1.0))
+@example(n=16, frac=1.0)
+@example(n=1152, frac=-1.0)
+@example(n=1500, frac=1.0)
+def test_gauss_legendre_integrates_cosines(n, frac):
+    a = frac * n
+    x, w = gauss_legendre_01(n)
+    exact = np.sinc(a / np.pi)          # sin(a)/a, 1 at a = 0
+    assert abs(w @ np.cos(a * x) - exact) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 383, 384, 1151, 1152])
+def test_gauss_legendre_mirror_and_unit_mass(n):
+    x, w = gauss_legendre_01(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1
+    np.testing.assert_array_equal(w, w[::-1])
+    np.testing.assert_allclose(x[::-1], 1.0 - x, rtol=0, atol=ULP_HALF)
+    assert abs(math.fsum(w) - 1.0) <= 4 * EPS
+
+
+def test_gauss_legendre_small_and_odd_rules():
+    x, w = gauss_legendre_01(1)
+    np.testing.assert_array_equal((x, w), ([0.5], [1.0]))
+    x, w = gauss_legendre_01(2)
+    np.testing.assert_allclose(x, 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0),
+                               rtol=0, atol=ULP_HALF)
+    np.testing.assert_allclose(w, [0.5, 0.5], rtol=2 * EPS)
+    x, w = gauss_legendre_01(3)
+    np.testing.assert_allclose(x, 0.5 + np.array([-0.5, 0, 0.5]) * np.sqrt(0.6),
+                               rtol=0, atol=ULP_HALF)
+    np.testing.assert_allclose(w, np.array([5, 8, 5]) / 18, rtol=4 * EPS)
+    for n in (5, 11, 385, 1153):        # odd rules keep the centre at 1/2
+        assert gauss_legendre_01(n)[0][n // 2] == 0.5
+
+
+def test_gauss_legendre_stops_after_bounded_passes(monkeypatch):
+    gauss_legendre_01.cache_clear()
+    monkeypatch.setattr(window, "_NEWTON_PASSES", 1)
+    try:
+        with pytest.raises(NumericalError, match="did not converge"):
+            gauss_legendre_01(384)
+    finally:
+        gauss_legendre_01.cache_clear()
+
+
+def test_gauss_legendre_rule_is_read_only():
+    x, w = gauss_legendre_01(7)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_gauss_legendre_memory_is_linear():
+    # the dense n x n companion matrix of leggauss alone is 10.6 MB at
+    # n = 1152; the recurrence holds a few arrays of n/2 nodes
+    gauss_legendre_01.cache_clear()
+    tracemalloc.start()
+    try:
+        gauss_legendre_01(1152)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gauss_legendre_01.cache_clear()
+    assert peak < 1 << 20
