@@ -62,8 +62,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .numerics import (band_mask, band_pairs, default_band, density_weights,
-                       pseudo_inverse)
+from .numerics import (all_finite, band_mask, band_pairs, default_band,
+                       density_weights, pseudo_inverse)
 from .raster import Raster, read_rows
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_magnitude,
@@ -129,10 +129,22 @@ class ImageGrid:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        if not np.all(np.isfinite(vals)):
+        if not all_finite(vals):
             raise ConfigError("non-finite image values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    # the values are read-only, so their reductions are taken once per
+    # image, however many metrics use it as a reference
+    @functools.cached_property
+    def peak(self) -> float:
+        """max |values|."""
+        return float(np.abs(self.values).max())
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """The 2-norm of the values, flattened."""
+        return float(np.linalg.norm(self.values))
 
 
 # ---------------------------------------------------------------- operators
@@ -308,7 +320,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     max_abs = raster.max_abs()
     if np.any(np.array(modes) < np.floor(max_abs)):
         meta["mode_box_warning"] = (
-            f"mode box {modes} does not cover data extent {max_abs.round(3)}")
+            f"mode box {modes} does not cover data extent "
+            f"{tuple(round(float(v), 3) for v in max_abs)}")
         _log.warning(meta["mode_box_warning"])
 
     psi_axes = omega_axes = dvec = bmat = cmat = None
@@ -393,7 +406,11 @@ def _real_matvecs(x: np.ndarray, parts) -> list:
     """x @ v for each real vector v in `parts`: one GEMM over them up to
     500,000 entries, else one GEMV each.  With OpenBLAS on 2 cores, two
     GEMVs on a 625 x 625 x ran on one core (0.32 ms; GEMM 0.15 ms), and
-    the GEMM packs a 900 x 900 x first (0.52 ms; GEMVs 0.36 ms)."""
+    the GEMM packs a 900 x 900 x first (0.52 ms; GEMVs 0.36 ms).  In
+    the benchmark's apply op (the three preset plans, all estimators,
+    scored), taking the GEMM at 900 x 900 too made the op slower on the
+    same 2 cores: 5.25 -> 6.59 ms (medians of three alternated rounds of
+    1,500 ops)."""
     if x.size <= 500_000:
         return list((x @ np.column_stack(parts)).T)
     return [x @ v for v in parts]
@@ -538,14 +555,15 @@ def load_image_csv(path) -> ImageGrid:
 
 
 def save_pgm(values: np.ndarray, path, peak: Optional[float] = None) -> None:
-    """8-bit graymap (PGM) of |values| normalized to `peak` (default: max)."""
+    """8-bit graymap (PGM) of |values| normalized to `peak` (default: max),
+    each pixel at the nearest of the 256 levels."""
     mag = np.abs(np.atleast_2d(np.asarray(values)))
     if peak is None or peak <= 0:
         peak = float(mag.max()) or 1.0
     mag /= peak         # in place: |T| is P x P in tmatrix.pgm
     np.clip(mag, 0.0, 1.0, out=mag)
     mag *= 255
-    img = mag.astype(np.uint8)
+    img = np.rint(mag, out=mag).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())

@@ -4,9 +4,13 @@ import json
 import math
 import os
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, build_plan,
                     error_maps, harness, load_raster, load_samples,
@@ -37,6 +41,69 @@ def test_psnr_formula():
 def test_psnr_shape_mismatch():
     with pytest.raises(ConfigError):
         psnr(grid(np.ones(4)), grid(np.ones(5)))
+
+
+# parts are 0 or of magnitude 1e-3..1e3, so no square of a difference
+# underflows and a sum of at most 64 of them rounds well below 1e-13
+_PART = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+_IMAGES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=8).flatmap(
+    lambda shape: st.tuples(*[hnp.arrays(np.complex128, shape,
+                                         elements=st.builds(complex, _PART,
+                                                            _PART))] * 2))
+
+
+def _exact_square_sum(z) -> Fraction:
+    return sum((Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in z.flat),
+               Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(images=_IMAGES)
+def test_psnr_and_l2_match_textbook_formulas(images):
+    rec, ref = images
+    assume(np.any(ref != 0))
+    diff = [complex(Fraction(a.real) - Fraction(b.real),
+                    Fraction(a.imag) - Fraction(b.imag))
+            for a, b in zip(rec.flat, ref.flat)]
+    sq = _exact_square_sum(np.array(diff))
+    peak = max(abs(v) for v in ref.flat)
+    value = psnr(grid(rec), grid(ref))
+    if sq == 0:
+        assert value == math.inf
+    else:
+        # mse = mean |rec - ref|^2, recovered from 20 log10(peak / rms)
+        mse = (peak * 10.0 ** (-value / 20.0)) ** 2
+        assert mse == pytest.approx(float(sq / rec.size), rel=1e-13)
+    expected = math.sqrt(sq / _exact_square_sum(ref))
+    assert harness.l2_relative(grid(rec), grid(ref)) == \
+        pytest.approx(expected, rel=1e-13, abs=0.0)
+    g = grid(ref)
+    assert psnr(g, g) == math.inf and harness.l2_relative(g, g) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=hnp.arrays(np.complex128,
+                    hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                    elements=st.complex_numbers(allow_nan=False,
+                                                allow_infinity=False,
+                                                max_magnitude=1e150)))
+def test_image_peak_and_norm(v):
+    g = grid(v)
+    assert g.peak == np.abs(v).max()
+    assert g.norm == np.linalg.norm(v)
+    assert g.peak is g.peak and g.norm is g.norm     # taken once
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 1.0)])
+def test_image_rejects_non_finite_values(bad):
+    vals = np.ones((3, 4), complex)
+    vals[2, 1] = bad
+    with pytest.raises(ConfigError, match="non-finite image values"):
+        grid(vals)
+    # finite values whose sum overflows are accepted, read-only
+    g = grid(np.full((3, 4), 1e308 + 1e308j))
+    assert not g.values.flags.writeable
 
 
 def test_zero_reference_is_a_config_error():

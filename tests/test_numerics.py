@@ -1,18 +1,21 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridfr import (ConfigError, NumericalError, band_mask, band_pairs,
                     build_plan, default_band, density_weights,
                     gaussian_window, jittered_grid, pseudo_inverse)
 from gridfr import numerics
 from gridfr.harness import preset_config, raster_from_config
-from gridfr.numerics import _svd_pinv, default_rtol, save_magnitude_csv
+from gridfr.numerics import (_svd_pinv, all_finite, default_rtol,
+                             save_magnitude_csv)
 from gridfr.raster import Raster
 from gridfr.recon import t_matrix
 
@@ -88,6 +91,48 @@ def test_pinv_factored_matches_svd_oracle(cols, extra, log_kappa, log_scale,
     assert info.sigma_min_kept <= oinfo.sigma_min_kept * (1 + 1e-9)
     assert (oinfo.kappa * (1 - 1e-9) <= info.kappa
             <= np.sqrt(rows * cols) * oinfo.kappa * (1 + 1e-9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+                    hnp.array_shapes(min_dims=1, max_dims=2, max_side=8)),
+       data=st.data())
+def test_all_finite_matches_isfinite(a, data):
+    # hypothesis's floats include NaN, +-inf and values near the largest
+    # double; one more non-finite entry goes into the real or imaginary
+    # part of a drawn position half the time
+    if a.size and data.draw(st.booleans()):
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        i = data.draw(st.integers(0, a.size - 1))
+        if a.dtype.kind == "c" and data.draw(st.booleans()):
+            a.flat[i] = complex(a.flat[i].real, bad)
+        else:
+            a.flat[i] = bad
+    assert all_finite(a) == bool(np.isfinite(a).all())
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([1e308, 1e308], True),                   # the sum overflows
+    ([[1e308, -1e308], [1e308, 1e308]], True),
+    ([1e308 + 1e308j, 1e308 - 1e308j], True),
+    ([np.inf, -np.inf], False),               # the sum is NaN
+    ([1.0, complex(0.0, np.nan)], False),
+    ([1.0, complex(0.0, -np.inf)], False),
+    ([[1.0, 2.0], [complex(np.inf, 0.0), 3.0]], False),
+])
+def test_all_finite_exact_past_overflow(values, finite):
+    a = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(a) is finite
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pinv_rejects_non_finite_entries(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ConfigError, match="non-finite matrix entries"):
+        pseudo_inverse(a)
 
 
 def test_pinv_factorization_recorded():

@@ -535,11 +535,22 @@ def test_image_csv_round_trip(tmp_path, shape):
 
 
 def test_save_pgm_scales_magnitudes(tmp_path):
-    # |values| / peak, clipped to [0, 1], times 255 and truncated; the
-    # caller's array is left as it was
+    # |values| / peak, clipped to [0, 1], times 255 and rounded to the
+    # nearest level (95.625 -> 96, 127.5 -> 128); the caller's array is
+    # left as it was
     values = np.array([[3.0, -4.0], [0.0, 8.0j]])
-    for peak, pixels in ((4.0, [191, 255, 0, 255]), (None, [95, 127, 0, 255])):
+    for peak, pixels in ((4.0, [191, 255, 0, 255]), (None, [96, 128, 0, 255])):
         recon.save_pgm(values, tmp_path / "a.pgm", peak=peak)
         assert (tmp_path / "a.pgm").read_bytes() == \
             b"P5\n2 2\n255\n" + bytes(pixels)
     np.testing.assert_array_equal(values, [[3.0, -4.0], [0.0, 8.0j]])
+
+
+def test_save_pgm_pixel_one_ulp_below_the_peak_is_white(tmp_path):
+    # 255 (1 - 2^-52) = 254.99999999999994, which truncates to 254;
+    # a power-of-two peak keeps the scaled value exact
+    peak = 4.0
+    values = np.array([peak * (1 - 2.0**-52), peak, 0.0])
+    recon.save_pgm(values, tmp_path / "a.pgm", peak=peak)
+    assert (tmp_path / "a.pgm").read_bytes() == \
+        b"P5\n3 1\n255\n" + bytes([255, 255, 0])
