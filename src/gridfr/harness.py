@@ -97,15 +97,20 @@ def _peak(reference: ImageGrid, what: str) -> float:
     return peak
 
 
+def _difference(recon: ImageGrid, reference: ImageGrid, what: str):
+    """recon - reference, whose grids must match for `what` to compare."""
+    if recon.values.shape != reference.values.shape:
+        raise ConfigError(f"{what} needs matching grids")
+    return recon.values - reference.values
+
+
 def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
     """20 log10(peak / RMS error); peak = max |reference|.
 
     Returns +inf when the grids agree exactly (flagged infinite).
     """
-    if recon.values.shape != reference.values.shape:
-        raise ConfigError("PSNR needs matching grids")
+    d = _difference(recon, reference, "PSNR")
     peak = _peak(reference, "PSNR")
-    d = recon.values - reference.values
     mse = float(np.vdot(d, d).real) / d.size
     if mse == 0.0:
         return math.inf
@@ -113,22 +118,23 @@ def psnr(recon: ImageGrid, reference: ImageGrid) -> float:
 
 
 def l2_relative(recon: ImageGrid, reference: ImageGrid) -> float:
+    d = _difference(recon, reference, "the relative l2 error")
     denom = reference.norm
     if denom == 0.0:
         raise ConfigError("the reference is zero: no relative error")
-    d = recon.values - reference.values
     return math.sqrt(float(np.vdot(d, d).real)) / denom
 
 
 def linf_error(recon: ImageGrid, reference: ImageGrid) -> float:
-    return float(np.abs(recon.values - reference.values).max())
+    return float(np.abs(_difference(recon, reference, "the max error")).max())
 
 
 def _error_decades(recon: ImageGrid, reference: ImageGrid) -> tuple:
     """log10 of |recon - reference| over the floor ERROR_MAP_FLOOR *
     max |reference|, at least 0, and log10 of that floor."""
+    d = _difference(recon, reference, "an error map")
     floor = ERROR_MAP_FLOOR * _peak(reference, "an error map")
-    ratio = np.abs(recon.values - reference.values) / floor
+    ratio = np.abs(d) / floor
     return np.log10(np.maximum(ratio, 1.0)), math.log10(floor)
 
 

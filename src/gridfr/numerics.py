@@ -3,19 +3,17 @@ and density-compensation quadrature weights.
 
 Matrices are plain numpy arrays, real or complex (the plans hand over
 real ones; see `recon.ReconPlan`), and every factorization is one of
-numpy's LAPACK bindings (LU, QR or SVD).  The
-pseudo-inverse treats singular values below ``rtol * sigma_max`` as
-zero; the default threshold is ``1e-10 * max(rows, cols)``.  A square
-or tall matrix whose LU or QR inverse certifies, by norm bounds, that
-no singular value falls below the threshold is inverted by that
-factorization.  For a square matrix that drops a few singular values,
-block subspace iteration on its LU inverse finds them; it is inverted
-by LU after deflating them when norm bounds prove that the truncated
-SVD drops exactly those.  Any other matrix takes the truncated SVD, the
-only path that computes all singular values.  Every factorization
-reports its retained rank and condition number (after LU, QR or
-deflation an upper bound) so ill-conditioning is visible instead of
-silent.
+numpy's LAPACK bindings (LU, QR or SVD).  The pseudo-inverse treats
+singular values below ``rtol * sigma_max`` as zero (by default
+``rtol = 1e-10 * max(rows, cols)``) and has three exits: the LU or QR
+inverse of a square or tall matrix when its 1-inf norm bounds certify
+that no singular value falls below the threshold; for a square matrix
+that drops a few, the LU inverse after deflating those that subspace
+iteration finds, when the same bounds certify that the truncated SVD
+drops exactly those; and otherwise the truncated SVD, the only exit
+that computes all singular values.  Every exit reports its retained
+rank and condition number (an upper bound, except after the SVD) so
+ill-conditioning is visible instead of silent.
 """
 
 from __future__ import annotations
@@ -63,19 +61,16 @@ def all_finite(a: np.ndarray) -> bool:
 class PinvInfo:
     """Spectrum bookkeeping for one truncated pseudo-inversion.
 
-    `factorization` names the path that ran: "svd", "lu", "qr" or
-    "deflated-lu" (an LU inverse, after deflating the dropped singular
-    values that subspace iteration found; see `pseudo_inverse`).  After
-    "svd", `sigma_max` and `sigma_min_kept` are the exact largest and
-    smallest retained singular values.  After the other three they are
-    an upper and a lower bound on them, so `kappa` is an upper bound on
-    the retained 2-norm condition number.  After "lu" or "qr" the bounds
-    are sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) for the inverse X
-    (`kappa` at most sqrt(rows*cols) times the exact one).  After
-    "deflated-lu" they are |A|_F and 1/|X|_F when nothing was dropped,
-    and otherwise sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) - err
-    for the truncated inverse X and the deflation residual err.  `rtol`
-    is the relative threshold the inversion applied.
+    `factorization` names the exit that ran: "svd", "lu", "qr" or
+    "deflated-lu" (rank < n: an LU inverse after deflating the dropped
+    singular values that subspace iteration found).  After "svd",
+    `sigma_max` and `sigma_min_kept` are the exact largest and smallest
+    retained singular values.  After the others they are the bounds
+    sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) - err for the inverse
+    X and the deflation residual err (0 after "lu" or "qr"), so `kappa`
+    bounds the retained 2-norm condition number from above (after "lu"
+    or "qr" within a factor sqrt(rows*cols)).  `rtol` is the relative
+    threshold the inversion applied.
     """
 
     rank: int
@@ -94,18 +89,15 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
 
     Returns ``(pinv, info)``.  Singular values below rtol*sigma_max are
     treated as zero.  A square matrix is first inverted by LU and a tall
-    one by QR (X = R^-1 Q^H).  The result is accepted when the condition
-    bound sqrt(|A|_1 |A|_inf |X|_1 |X|_inf) >= kappa_2(A) shows every
-    singular value lies above the threshold.  A square matrix whose
-    bound does not certify full rank keeps its LU inverse when the
-    Frobenius bound |A|_F |X|_F does.  Otherwise block subspace
-    iteration on X looks for the few singular values it drops (see
-    `_trailing_subspaces`); the matrix is deflated on their singular
-    subspaces and inverted by LU (see `_deflated_pinv`), and the result
-    is kept when norm bounds prove that the truncated SVD drops exactly
-    those values.  Any other matrix (an exactly singular factor, a wide
-    matrix, a dropped spectrum the iteration does not certify) takes
-    the truncated SVD.  No path but that one computes all singular
+    one by QR (X = R^-1 Q^H), kept when `_certified` proves every
+    singular value above the threshold.  For an uncertified square
+    matrix, block subspace iteration on X looks for the few singular
+    values it drops (`_trailing_subspaces`); the matrix is deflated on
+    their singular subspaces and inverted by LU (`_deflated_pinv`), kept
+    when `_certified` proves that the truncated SVD drops exactly those
+    values.  Any other matrix (wide, an exactly singular factor, a
+    non-finite inverse or bound, an uncertified QR inverse or spectrum)
+    takes the truncated SVD, the only exit that computes all singular
     values.  An identically zero matrix (rank collapse) and an SVD that
     does not converge are NumericalErrors.
     """
@@ -116,38 +108,32 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
         raise ConfigError("non-finite matrix entries")
     if rtol is None:
         rtol = default_rtol(a.shape)
-    factored = _factored_inverse(a, rtol)
-    if factored is None:
+    x = _factored_inverse(a)
+    if x is None:
         return _svd_pinv(a, rtol)
-    x, info = factored
+    rows, n = a.shape
+    info = _certified(a, x, rtol, n, "lu" if rows == n else "qr")
     if info is not None:
         return x, info
-    # x is an LU inverse the 1-inf bound could not certify; it is dropped
-    # before the next n x n work array is made
-    del factored
-    n = len(a)
-    info = PinvInfo(rank=n, sigma_max=float(np.linalg.norm(a)),
-                    sigma_min_kept=1.0 / float(np.linalg.norm(x)),
-                    rtol=rtol, factorization="deflated-lu")
-    if rtol * info.sigma_max < info.sigma_min_kept:
-        return x, info
-    # the largest column 2-norm: a lower bound on sigma_max
-    scale = float(np.linalg.norm(a, axis=0).max())
-    split = _trailing_subspaces(a, x, rtol, scale)
-    del x
-    if split is None:
+    if rows > n:
+        del x       # dropped before the SVD's work arrays are made
         return _svd_pinv(a, rtol)
-    v, u, err = split
-    pinv = _deflated_pinv(a, scale, v, u)
-    # a = K + U_d M V_d^H + E with |E| <= err, so each of its n-d largest
-    # singular values is at least sigma_min(K) - err, and pinv = K^+ has
-    # 2-norm 1/sigma_min(K) <= sqrt(|pinv|_1 |pinv|_inf)
-    info = PinvInfo(rank=n - v.shape[1], sigma_max=_norm_1_inf(a),
-                    sigma_min_kept=1.0 / _norm_1_inf(pinv) - err,
-                    rtol=rtol, factorization="deflated-lu")
-    if rtol * info.sigma_max < info.sigma_min_kept:
-        return pinv, info
-    del pinv
+    # the largest column 2-norm bounds sigma_max from below; an overflow
+    # (a bound beyond 1e308) leaves the matrix to the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm(a, axis=0).max())
+        split = _trailing_subspaces(a, x, rtol, scale)
+    del x
+    if split is not None:
+        v, u, err = split
+        pinv = _deflated_pinv(a, scale, v, u)
+        # a = K + U_d M V_d^H + E with |E| <= err, so each of its n-d
+        # largest singular values is at least sigma_min(K) - err, and
+        # pinv = K^+ has 2-norm 1/sigma_min(K)
+        info = _certified(a, pinv, rtol, n - v.shape[1], "deflated-lu", err)
+        if info is not None:
+            return pinv, info
+        del pinv
     return _svd_pinv(a, rtol)
 
 
@@ -157,37 +143,41 @@ def _norm_1_inf(a: np.ndarray) -> float:
     return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
-def _factored_inverse(a: np.ndarray, rtol: float):
-    """LU (square) or QR (tall) inverse, certified full rank or not.
-
-    Returns ``(inverse, info)`` for a certified inverse and
-    ``(inverse, None)`` for an LU inverse whose condition bound cannot
-    certify full rank at `rtol` (`pseudo_inverse` may still use it).
-    Returns None for a wide matrix, an exactly singular factor, a
-    non-finite inverse or an uncertified QR inverse.
-    """
+def _factored_inverse(a: np.ndarray):
+    """LU (square) or QR (tall, X = R^-1 Q^H) inverse of `a`; None for a
+    wide matrix, an exactly singular factor or a non-finite inverse."""
     rows, cols = a.shape
     if rows < cols or cols == 0:
         return None
     try:
         if rows == cols:
-            x, kind = np.linalg.inv(a), "lu"
+            x = np.linalg.inv(a)
         else:
             q, r = np.linalg.qr(a)
             np.conjugate(q, out=q)      # Q^H as a view, without a copy
-            x, kind = np.linalg.solve(r, q.T), "qr"
+            x = np.linalg.solve(r, q.T)
     except np.linalg.LinAlgError:
         return None
+    return x if all_finite(x) else None
+
+
+def _certified(a: np.ndarray, x: np.ndarray, rtol: float, rank: int,
+               kind: str, err: float = 0.0):
+    """`PinvInfo` for `x` as the rank-`rank` inverse of `a`, or None.
+
+    sqrt(|A|_1 |A|_inf) bounds sigma_max from above and
+    1/sqrt(|X|_1 |X|_inf) - err the smallest kept singular value from
+    below, when the kept part of A lies within 2-norm `err` of a matrix
+    with pseudo-inverse X.  None unless they put every kept value above
+    rtol*sigma_max; a non-finite bound proves nothing.
+    """
     with np.errstate(all="ignore"):
-        upper, inv_upper = _norm_1_inf(a), _norm_1_inf(x)
-        kappa = upper * inv_upper
-    if not np.isfinite(kappa):
+        upper = _norm_1_inf(a)
+        lower = 1.0 / _norm_1_inf(x) - err
+    if not rtol * upper < lower:
         return None
-    if kappa * rtol >= 1.0:
-        return (x, None) if kind == "lu" else None
-    return x, PinvInfo(rank=cols, sigma_max=upper,
-                       sigma_min_kept=1.0 / inv_upper, rtol=rtol,
-                       factorization=kind)
+    return PinvInfo(rank=rank, sigma_max=upper, sigma_min_kept=lower,
+                    rtol=rtol, factorization=kind)
 
 
 _DEFLATION_STEPS = 4
@@ -204,8 +194,8 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
     E = A - K - U_d M V_d^H, with K = (I - U_d U_d^H) A (I - V_d V_d^H)
     and M = U_d^H A V_d.  Returns None when the SVD should decide
     instead: none of the b Ritz values counts as dropped, all of them do
-    (more values may be dropped), or the subspaces do not converge in
-    _DEFLATION_STEPS steps.
+    (more values may be dropped), the iteration overflows, or the
+    subspaces do not converge in _DEFLATION_STEPS steps.
 
     The dropped singular values of A are the dominant ones of
     X = V S^-1 U^H.  Block subspace iteration V <- qr(X X^H V) on
@@ -238,6 +228,8 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
     for _ in range(_DEFLATION_STEPS):
         v = np.linalg.qr(x @ y)[0]
         y = x.conj().T @ v
+        if not all_finite(y):
+            return None
         u, theta, wh = _svd(y, full_matrices=False)
         dropped = int(np.count_nonzero(theta * (rtol * scale) > 1.0))
         if dropped == b:
@@ -352,15 +344,13 @@ def default_band(order: int) -> int:
     return min(max(r, 1), order)
 
 
-def _trapezoid_1d(sorted_coords: np.ndarray) -> np.ndarray:
-    n = len(sorted_coords)
-    if n == 1:
-        return np.array([1.0])
-    w = np.empty(n)
-    w[1:-1] = (sorted_coords[2:] - sorted_coords[:-2]) / 2.0
-    w[0] = (sorted_coords[1] - sorted_coords[0]) / 2.0
-    w[-1] = (sorted_coords[-1] - sorted_coords[-2]) / 2.0
-    return w
+def _trapezoid(x: np.ndarray) -> np.ndarray:
+    """Trapezoid weights along the last axis of sorted coordinates `x`:
+    half the gap between each point's neighbours, one-sided at the ends."""
+    if x.shape[-1] == 1:
+        return np.ones_like(x)
+    edged = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
+    return (edged[..., 2:] - edged[..., :-2]) / 2.0
 
 
 def density_weights(raster: Raster) -> np.ndarray:
@@ -375,7 +365,7 @@ def density_weights(raster: Raster) -> np.ndarray:
     if raster.dim == 1:
         order = np.argsort(raster.points)
         w = np.empty(len(raster))
-        w[order] = _trapezoid_1d(raster.points[order])
+        w[order] = _trapezoid(raster.points[order])
         return w
 
     if raster.kind == "jittered_grid" and raster.index_extents is not None:
@@ -383,13 +373,7 @@ def density_weights(raster: Raster) -> np.ndarray:
         n1, n2 = hi1 - lo1 + 1, hi2 - lo2 + 1
         x = raster.points[:, 0].reshape(n1, n2)
         y = raster.points[:, 1].reshape(n1, n2)
-        w1 = np.empty_like(x)
-        w2 = np.empty_like(y)
-        for j in range(n2):
-            w1[:, j] = _trapezoid_1d(x[:, j])
-        for i in range(n1):
-            w2[i, :] = _trapezoid_1d(y[i, :])
-        return (w1 * w2).ravel()
+        return (_trapezoid(x.T).T * _trapezoid(y)).ravel()
 
     cells = np.round(raster.points).astype(int)
     _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,

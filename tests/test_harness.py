@@ -39,8 +39,16 @@ def test_psnr_formula():
 
 
 def test_psnr_shape_mismatch():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^PSNR needs matching grids$"):
         psnr(grid(np.ones(4)), grid(np.ones(5)))
+
+
+@pytest.mark.parametrize("metric", [psnr, harness.l2_relative,
+                                    harness.linf_error, error_maps])
+def test_metrics_reject_mismatched_grids(metric):
+    # a 1-pixel image would broadcast against a 4-pixel reference
+    with pytest.raises(ConfigError, match="needs matching grids"):
+        metric(grid([1.0]), grid([0.0, 1.0, 2.0, 3.0]))
 
 
 # parts are 0 or of magnitude 1e-3..1e3, so no square of a difference

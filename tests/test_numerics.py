@@ -163,7 +163,7 @@ def test_pinv_deflated_matches_svd_oracle(kept, log_kappa, log_gap,
     p, info = pseudo_inverse(a)
     oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
     kappa = 10.0 ** log_kappa
-    assert info.factorization == "deflated-lu"
+    assert info.factorization == "deflated-lu" and info.rank < n
     assert info.rank == oinfo.rank == kept
     assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
     _assert_brackets(info, oinfo)
@@ -242,17 +242,37 @@ def test_pinv_deflated_takes_no_full_svd(monkeypatch):
     with no_values_only_svd():
         p, info = pseudo_inverse(a)
     assert p.dtype == np.float64 and info.rank == 39
-    # full rank, but too ill-conditioned for the 1-inf bound to certify
-    # it: the Frobenius bound |A|_F |X|_F does, and the LU inverse is kept
+
+
+def test_pinv_uncertified_full_rank_takes_svd():
+    # full rank with kappa_2 = 1e8, so kappa_2 * rtol = 0.4 < 1, but the
+    # 1-inf bound on kappa exceeds 1/rtol: no exit certifies the LU
+    # inverse, the iteration finds no dropped value and the SVD decides
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(6)))
     b = (_orthonormal(rng, 40, 40) * np.logspace(0.0, -8.0, 40)) @ \
         _orthonormal(rng, 40, 40).conj().T
-    with no_values_only_svd():
-        q, qinfo = pseudo_inverse(b)
-    assert qinfo.factorization == "deflated-lu" and qinfo.rank == 40
-    # |A|_F |X|_F lies between kappa_2 = 1e8 and n kappa_2
-    assert 1e8 * (1 - 1e-6) <= qinfo.kappa <= 40 * 1e8
-    assert qinfo.kappa * default_rtol(b.shape) < 1.0
-    assert np.linalg.norm(q @ b - np.eye(40)) < 1e-6
+    rtol = default_rtol(b.shape)
+    assert 1e8 * rtol < 1.0 <= rtol * numerics._norm_1_inf(b) * \
+        numerics._norm_1_inf(np.linalg.inv(b))
+    q, qinfo = pseudo_inverse(b)
+    oracle, oinfo = _svd_pinv(b, rtol)
+    assert qinfo.factorization == "svd" and qinfo.rank == oinfo.rank == 40
+    assert np.linalg.norm(q - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1e-160], [1e200, 1e-150],
+                                  [1e160, 1.0]])
+def test_pinv_non_finite_bound_takes_svd(diag):
+    # finite LU inverses whose 1-inf bounds (or their product) overflow:
+    # no certificate, no overflowing subspace iteration, and no warning
+    for n in (2, 40):
+        a = np.diag(np.r_[diag, np.ones(n - 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, info = pseudo_inverse(a)
+        oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
+        assert info.factorization == "svd" and info.rank == oinfo.rank
+        np.testing.assert_array_equal(p, oracle)
 
 
 def test_pinv_uncertifiable_kept_value_skips_deflation(monkeypatch):
@@ -455,6 +475,23 @@ def test_density_weights_2d_grid_product():
     assert w[3, 3] == pytest.approx(1.0)
     assert w[0, 3] == pytest.approx(0.5)
     assert w[0, 0] == pytest.approx(0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.tuples(st.integers(-6, 0), st.integers(-6, 0)),
+       size=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       jitter=st.floats(0.0, 0.49), seed=st.integers(0, 2**32 - 1))
+def test_density_weights_2d_grid_is_product_of_lines(lo, size, jitter, seed):
+    # each weight is, bit for bit, the product of the 1D weights of the
+    # two grid lines through its point
+    ranges = tuple((a, a + n - 1) for a, n in zip(lo, size))
+    r = jittered_grid((0, 0), jitter, seed, index_range=ranges)
+    pts = r.points.reshape(*size, 2)
+    w1 = np.stack([density_weights(Raster(dim=1, points=pts[:, j, 0]))
+                   for j in range(size[1])], axis=1)
+    w2 = np.stack([density_weights(Raster(dim=1, points=pts[i, :, 1]))
+                   for i in range(size[0])])
+    np.testing.assert_array_equal(density_weights(r), (w1 * w2).ravel())
 
 
 def test_density_weights_unstructured_cell_share():
