@@ -3,17 +3,21 @@ and density-compensation quadrature weights.
 
 Matrices are plain numpy arrays, real or complex (the plans hand over
 real ones; see `recon.ReconPlan`), and every factorization is one of
-numpy's LAPACK bindings (LU, QR or SVD).  The pseudo-inverse treats
-singular values below ``rtol * sigma_max`` as zero (by default
-``rtol = 1e-10 * max(rows, cols)``) and has three exits: the LU or QR
-inverse of a square or tall matrix when its 1-inf norm bounds certify
-that no singular value falls below the threshold; for a square matrix
-that drops a few, the LU inverse after deflating those that subspace
-iteration finds, when the same bounds certify that the truncated SVD
-drops exactly those; and otherwise the truncated SVD, the only exit
-that computes all singular values.  Every exit reports its retained
-rank and condition number (an upper bound, except after the SVD) so
-ill-conditioning is visible instead of silent.
+numpy's LAPACK bindings (LU, SVD, and QR for the bases of subspace
+iteration).  The pseudo-inverse treats singular values below
+``rtol * sigma_max`` as zero (by default
+``rtol = 1e-10 * max(rows, cols)``) and has four exits: LU, the inverse
+of a square matrix, when its 1-inf norm bounds certify that no singular
+value falls below the threshold; Gram, the solution X of
+(A^H A) X = A^H for a tall matrix, when its left-inverse residual
+X A - I is at rounding level and the same bounds certify it; deflated
+LU, for a square matrix that drops a few singular values, the LU
+inverse after deflating those that subspace iteration finds, when the
+same bounds certify that the truncated SVD drops exactly those; and
+otherwise SVD, the truncated SVD, the only exit that computes all
+singular values.  Every exit reports its retained rank and condition
+number (an upper bound, except after the SVD) so ill-conditioning is
+visible instead of silent.
 """
 
 from __future__ import annotations
@@ -61,16 +65,20 @@ def all_finite(a: np.ndarray) -> bool:
 class PinvInfo:
     """Spectrum bookkeeping for one truncated pseudo-inversion.
 
-    `factorization` names the exit that ran: "svd", "lu", "qr" or
-    "deflated-lu" (rank < n: an LU inverse after deflating the dropped
-    singular values that subspace iteration found).  After "svd",
-    `sigma_max` and `sigma_min_kept` are the exact largest and smallest
-    retained singular values.  After the others they are the bounds
-    sqrt(|A|_1 |A|_inf) and 1/sqrt(|X|_1 |X|_inf) - err for the inverse
-    X and the deflation residual err (0 after "lu" or "qr"), so `kappa`
-    bounds the retained 2-norm condition number from above (after "lu"
-    or "qr" within a factor sqrt(rows*cols)).  `rtol` is the relative
-    threshold the inversion applied.
+    `factorization` names the exit that ran: "lu" (square), "gram"
+    (tall: X solves (A^H A) X = A^H), "deflated-lu" (rank < n: an LU
+    inverse after deflating the dropped singular values that subspace
+    iteration found) or "svd".  After "svd", `sigma_max` and
+    `sigma_min_kept` are the exact largest and smallest retained
+    singular values.  After the others `sigma_max` is the bound
+    sqrt(|A|_1 |A|_inf) and `sigma_min_kept` a lower bound on the
+    smallest kept singular value: 1/sqrt(|X|_1 |X|_inf) for the inverse
+    X after "lu", that minus the deflation residual err after
+    "deflated-lu", and (1 - eta)/sqrt(|X|_1 |X|_inf) after "gram", with
+    eta = sqrt(|E|_1 |E|_inf) for the left-inverse residual E = X A - I.
+    So `kappa` bounds the retained 2-norm condition number from above
+    (after "lu" or "gram" within a factor about sqrt(rows*cols)).
+    `rtol` is the relative threshold the inversion applied.
     """
 
     rank: int
@@ -88,17 +96,21 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     """Moore-Penrose pseudo-inverse with relative truncation.
 
     Returns ``(pinv, info)``.  Singular values below rtol*sigma_max are
-    treated as zero.  A square matrix is first inverted by LU and a tall
-    one by QR (X = R^-1 Q^H), kept when `_certified` proves every
-    singular value above the threshold.  For an uncertified square
+    treated as zero.  A square matrix is first inverted by LU, kept when
+    `_certified` proves every singular value above the threshold.  A
+    tall one is inverted through its Gram matrix, X = (A^H A)^-1 A^H,
+    whose error grows like kappa^2, so X is kept only when its
+    left-inverse residual eta = |X A - I| is at most _GRAM_RESIDUAL
+    and `_certified` proves every singular value above the threshold
+    with the lower bound (1 - eta)/|X|.  For an uncertified square
     matrix, block subspace iteration on X looks for the few singular
     values it drops (`_trailing_subspaces`); the matrix is deflated on
     their singular subspaces and inverted by LU (`_deflated_pinv`), kept
     when `_certified` proves that the truncated SVD drops exactly those
     values.  Any other matrix (wide, an exactly singular factor, a
-    non-finite inverse or bound, an uncertified QR inverse or spectrum)
-    takes the truncated SVD, the only exit that computes all singular
-    values.  An identically zero matrix (rank collapse) and an SVD that
+    non-finite inverse or bound, a Gram inverse with a larger residual,
+    an uncertified spectrum) takes the truncated SVD, the only exit that
+    computes all singular values.  An identically zero matrix (rank collapse) and an SVD that
     does not converge are NumericalErrors.
     """
     a = np.asarray(a)
@@ -112,7 +124,12 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     if x is None:
         return _svd_pinv(a, rtol)
     rows, n = a.shape
-    info = _certified(a, x, rtol, n, "lu" if rows == n else "qr")
+    if rows == n:
+        info = _certified(a, x, rtol, n, "lu")
+    else:
+        eta = _left_residual(x, a)
+        info = (_certified(a, x, rtol, n, "gram", residual=eta)
+                if eta <= _GRAM_RESIDUAL else None)
     if info is not None:
         return x, info
     if rows > n:
@@ -144,8 +161,9 @@ def _norm_1_inf(a: np.ndarray) -> float:
 
 
 def _factored_inverse(a: np.ndarray):
-    """LU (square) or QR (tall, X = R^-1 Q^H) inverse of `a`; None for a
-    wide matrix, an exactly singular factor or a non-finite inverse."""
+    """LU (square) or Gram (tall, X = (A^H A)^-1 A^H) inverse of `a`;
+    None for a wide matrix, an exactly singular factor or a non-finite
+    inverse."""
     rows, cols = a.shape
     if rows < cols or cols == 0:
         return None
@@ -153,27 +171,47 @@ def _factored_inverse(a: np.ndarray):
         if rows == cols:
             x = np.linalg.inv(a)
         else:
-            q, r = np.linalg.qr(a)
-            np.conjugate(q, out=q)      # Q^H as a view, without a copy
-            x = np.linalg.solve(r, q.T)
+            ah = a.conj().T         # a view when `a` is real
+            x = np.linalg.solve(ah @ a, ah)
     except np.linalg.LinAlgError:
         return None
     return x if all_finite(x) else None
 
 
+# Largest left-inverse residual sqrt(|E|_1 |E|_inf), E = X A - I, with
+# which a Gram inverse is kept.  Its error grows like kappa^2, and the
+# 1-inf certificate alone passes a wrong X of moderate norm from a
+# singular A^H A (a 60 x 40 matrix of rank 20 reads eta = 59).  Measured
+# on the plans' real frames: noisy-grid (900 x 841) 2.4e-11 to 2.5e-11 on
+# all five seeds, the jittered grids at P = 1600 and 2500 3.0e-11 to
+# 3.4e-11, the sweep frames at most 1.9e-14; the asterisk frame
+# (221 x 121) reads 4.1e-8 and takes the SVD.
+_GRAM_RESIDUAL = 1e-10
+
+
+def _left_residual(x: np.ndarray, a: np.ndarray) -> float:
+    """sqrt(|E|_1 |E|_inf) for the left-inverse residual E = X A - I."""
+    e = x @ a
+    e.flat[::e.shape[0] + 1] -= 1.0
+    return _norm_1_inf(e)
+
+
 def _certified(a: np.ndarray, x: np.ndarray, rtol: float, rank: int,
-               kind: str, err: float = 0.0):
+               kind: str, err: float = 0.0, residual: float = 0.0):
     """`PinvInfo` for `x` as the rank-`rank` inverse of `a`, or None.
 
     sqrt(|A|_1 |A|_inf) bounds sigma_max from above and
-    1/sqrt(|X|_1 |X|_inf) - err the smallest kept singular value from
-    below, when the kept part of A lies within 2-norm `err` of a matrix
-    with pseudo-inverse X.  None unless they put every kept value above
-    rtol*sigma_max; a non-finite bound proves nothing.
+    (1 - residual)/sqrt(|X|_1 |X|_inf) - err the smallest kept singular
+    value from below, when the kept part of A lies within 2-norm `err`
+    of a matrix with pseudo-inverse X, or when X is a left inverse of A
+    with residual |X A - I| <= `residual` (then |X A v| >= 1 - residual
+    for a unit v, so |A v| >= (1 - residual)/|X|).  None unless they put
+    every kept value above rtol*sigma_max; a non-finite bound proves
+    nothing.
     """
     with np.errstate(all="ignore"):
         upper = _norm_1_inf(a)
-        lower = 1.0 / _norm_1_inf(x) - err
+        lower = (1.0 - residual) / _norm_1_inf(x) - err
     if not rtol * upper < lower:
         return None
     return PinvInfo(rank=rank, sigma_max=upper, sigma_min_kept=lower,

@@ -119,8 +119,9 @@ def jittered_grid(extents, jitter: float, seed: int, index_range=None) -> Raster
 
     Parameters
     ----------
-    extents : int or tuple of int
-        Half-extent N per axis; indices run over {-N, ..., N}.
+    extents : int or tuple of int, or None
+        Half-extent N per axis; indices run over {-N, ..., N}.  May be
+        None when `index_range` gives every axis.
     jitter : float
         Maximum per-axis displacement, must be < 1/2 to keep points
         distinct and the near-integer frame guarantee.
@@ -132,21 +133,24 @@ def jittered_grid(extents, jitter: float, seed: int, index_range=None) -> Raster
     """
     if not 0 <= jitter < 0.5:
         raise ConfigError(f"jitter must be in [0, 1/2), got {jitter}")
-    if np.isscalar(extents):
+    if extents is None:
+        if index_range is None:
+            raise ConfigError("jittered_grid needs extents or index_range")
+    elif np.isscalar(extents):
         extents = (int(extents),)
     else:
         extents = tuple(int(n) for n in extents)
-    dim = len(extents)
-    if dim not in (1, 2):
-        raise ConfigError("jittered_grid supports 1 or 2 axes")
     if index_range is None:
         ranges = [(-n, n) for n in extents]
     else:
         if np.ndim(index_range[0]) == 0:
             index_range = (index_range,)
         ranges = [(int(lo), int(hi)) for lo, hi in index_range]
-        if len(ranges) != dim:
+        if extents is not None and len(ranges) != len(extents):
             raise ConfigError("index_range must give (lo, hi) per axis")
+    dim = len(ranges)
+    if dim not in (1, 2):
+        raise ConfigError("jittered_grid supports 1 or 2 axes")
     for lo, hi in ranges:
         if hi < lo:
             raise ConfigError(f"empty index range ({lo}, {hi})")

@@ -36,11 +36,12 @@ w = conj(d) f_hat, taking w's real and imaginary parts in turn:
 
 Only the frame solve forms the dense A; `_apply_omega` applies G one
 axis at a time, and `t_matrix` forms R = (A_1 G_1) o (A_2 G_2) entrywise.
-The inverses come from `numerics.pseudo_inverse` (QR, LU, deflated LU
-or the truncated SVD, as its docstring says).  The phases change no
-singular value, so `meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's
-and the masked T's ranks and singular values (bounds, except after the
-SVD) and name the factorization that ran.
+The inverses come from `numerics.pseudo_inverse`, whose four exits its
+docstring describes: LU for a square system, Gram (the solve with
+A^H A) for a tall one, deflated LU, and the truncated SVD.  The phases
+change no singular value, so `meta["psi_pinv"]` and `meta["c_pinv"]`
+hold Psi's and the masked T's ranks and singular values (bounds, except
+after the SVD) and name the factorization that ran.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the

@@ -337,7 +337,7 @@ def test_sweep_table_shape(tmp_path):
 
 
 # run_sweep tables computed with the SVD pseudo-inverse throughout; the
-# LU/QR inverses agree with it to rounding
+# LU and Gram inverses agree with it to rounding
 SWEEP_TABLES = {
     "N": {"cg": [0.4271027687167723, 0.2695411916199673,
                  0.4163095774097778, 0.351756645619003],

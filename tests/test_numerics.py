@@ -75,7 +75,10 @@ def _orthonormal(rng, rows, cols):
 def test_pinv_factored_matches_svd_oracle(cols, extra, log_kappa, log_scale,
                                           seed):
     # a = U diag(s) V^H with known spectrum, kappa = 10**log_kappa <= 1e6;
-    # sqrt(rows*cols)*kappa*rtol < 1 here, so LU/QR must certify full rank
+    # sqrt(rows*cols)*kappa*rtol < 1 here, so LU must certify full rank,
+    # and so must the Gram inverse whenever its left-inverse residual
+    # passes the gate; a tall matrix whose residual does not (the Gram
+    # error grows like kappa^2) takes the SVD
     rng = np.random.default_rng(seed)
     rows = cols + extra
     s = 10.0 ** log_scale * np.logspace(0.0, -log_kappa, cols)
@@ -83,7 +86,13 @@ def test_pinv_factored_matches_svd_oracle(cols, extra, log_kappa, log_scale,
     p, info = pseudo_inverse(a)
     oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
     kappa = 10.0 ** log_kappa
-    assert info.factorization == ("lu" if rows == cols else "qr")
+    if rows == cols:
+        assert info.factorization == "lu"
+    else:
+        x = np.linalg.solve(a.conj().T @ a, a.conj().T)
+        eta = numerics._norm_1_inf(x @ a - np.eye(cols))
+        assert info.factorization == (
+            "gram" if eta <= numerics._GRAM_RESIDUAL else "svd")
     assert info.rank == oinfo.rank == cols
     assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
     # the reported extremes bound the exact singular values (to rounding)
@@ -137,12 +146,28 @@ def test_pinv_rejects_non_finite_entries(bad):
 
 def test_pinv_factorization_recorded():
     assert pseudo_inverse(np.eye(3))[1].factorization == "lu"
-    assert pseudo_inverse(np.ones((3, 1)))[1].factorization == "qr"
+    assert pseudo_inverse(np.ones((3, 1)))[1].factorization == "gram"
     # singular square, wide and ill-conditioned systems take the SVD
     assert pseudo_inverse(np.diag([1.0, 0.0]))[1].factorization == "svd"
     assert pseudo_inverse(np.ones((1, 3)))[1].factorization == "svd"
     assert pseudo_inverse(np.diag([1.0, 1e-12]))[1].factorization == "svd"
 
+
+@pytest.mark.parametrize("key", range(4))
+def test_pinv_rank_deficient_tall_never_gram(key):
+    # A^H A of a 60 x 40 matrix of rank 20 is singular, yet solving with
+    # it can give an X of moderate norm that the 1-inf certificate alone
+    # would keep (key 3: |X| = 2.1) while X A is far from I (eta = 59);
+    # the residual gate sends such a matrix to the SVD
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(key)))
+    a = rng.normal(size=(60, 20)) @ rng.normal(size=(20, 40))
+    p, info = pseudo_inverse(a)
+    assert info.factorization == "svd"
+    assert info.rank == 20
+    assert np.linalg.norm(a @ p @ a - a) < 1e-10 * np.linalg.norm(a)
+    assert np.linalg.norm(p @ a @ p - p) < 1e-10 * np.linalg.norm(p)
+    for sym in (a @ p, p @ a):
+        assert np.linalg.norm(sym.T - sym) < 1e-10 * np.linalg.norm(sym)
 
 @settings(max_examples=60, deadline=None)
 @given(kept=st.integers(8, 48), log_kappa=st.floats(0.0, 6.0),
@@ -485,7 +510,7 @@ def test_density_weights_2d_grid_is_product_of_lines(lo, size, jitter, seed):
     # each weight is, bit for bit, the product of the 1D weights of the
     # two grid lines through its point
     ranges = tuple((a, a + n - 1) for a, n in zip(lo, size))
-    r = jittered_grid((0, 0), jitter, seed, index_range=ranges)
+    r = jittered_grid(None, jitter, seed, index_range=ranges)
     pts = r.points.reshape(*size, 2)
     w1 = np.stack([density_weights(Raster(dim=1, points=pts[:, j, 0]))
                    for j in range(size[1])], axis=1)

@@ -46,6 +46,22 @@ def test_index_range_even_grid():
     assert r.index_extents == ((-15, 14), (-15, 14))
 
 
+def test_index_range_alone_gives_the_axes():
+    r = jittered_grid(None, 0.1, 1, index_range=((0, 2), (0, 2)))
+    assert r.dim == 2 and len(r) == 9
+    assert r.index_extents == ((0, 2), (0, 2))
+    base = np.array([(i, j) for i in range(3) for j in range(3)], float)
+    assert np.max(np.abs(r.points - base)) <= 0.1
+    assert np.array_equal(
+        r.points,
+        jittered_grid((1, 1), 0.1, 1, index_range=((0, 2), (0, 2))).points)
+    assert jittered_grid(None, 0.1, 1, index_range=(-1, 3)).dim == 1
+    with pytest.raises(ConfigError, match="extents or index_range"):
+        jittered_grid(None, 0.1, 1)
+    with pytest.raises(ConfigError, match="per axis"):
+        jittered_grid(2, 0.1, 1, index_range=((0, 2), (0, 2)))
+
+
 def test_asterisk_axis_spokes():
     r = asterisk(2, 1, 1.0)
     got = {tuple(np.round(p, 12)) for p in r.points}

@@ -442,17 +442,19 @@ def _preset_plan(name, seed, methods):
 
 
 @pytest.mark.parametrize("name, seed, methods, paths", [
-    ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "qr", "c_pinv": "lu"}),
+    ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "gram", "c_pinv": "lu"}),
     ("noisy-grid", 102, ("ftcg",), {"c_pinv": "deflated-lu"}),
     ("sas-wedge", 101, ("frame",), {"psi_pinv": "svd"}),
-    ("asterisk", 101, ("ftcg",), {"c_pinv": "svd"}),
+    ("asterisk", 101, ("frame", "ftcg"), {"psi_pinv": "svd", "c_pinv": "svd"}),
 ])
 def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
-    # certified full-rank systems take LU/QR; seed 102's T drops one value
-    # far below the rest and is deflated; sas-wedge's Psi drops more values
-    # than the subspace iteration's block holds, and asterisk's T keeps a
-    # value too close to the threshold to certify, so both take the SVD.
-    # None of them computes singular values alone.
+    # certified full-rank systems take LU (square) or Gram (tall); seed
+    # 102's T drops one value far below the rest and is deflated;
+    # sas-wedge's Psi drops more values than the subspace iteration's
+    # block holds, asterisk's T keeps a value too close to the threshold
+    # to certify, and asterisk's tall Psi has a Gram residual (4.1e-8)
+    # above the gate, so all three take the SVD.  None of them computes
+    # singular values alone.
     with no_values_only_svd():
         plan = _preset_plan(name, seed, methods)
     d, e = plan.phases
