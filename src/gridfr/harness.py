@@ -144,8 +144,7 @@ def error_maps(recon: ImageGrid, reference: ImageGrid) -> ImageGrid:
     decades, floor = _error_decades(recon, reference)
     return ImageGrid(values=(decades + floor).astype(complex),
                      grid_size=recon.grid_size,
-                     method=f"log10-error[{recon.method}]",
-                     plan_ref=recon.plan_ref)
+                     method=f"log10-error[{recon.method}]")
 
 
 def save_error_map(recon: ImageGrid, reference: ImageGrid, path) -> None:
@@ -183,7 +182,7 @@ class ExperimentConfig:
     window: dict
     modes: object            # int or per-axis list
     methods: tuple = ("cg", "frame", "ftcg")
-    band: Optional[int] = 8
+    band: Optional[int] = None
     grid_size: int = 128
     rtol: Optional[float] = None
     snr_db: float = math.inf
@@ -232,8 +231,8 @@ def _check_numeric(value, what: str, integral: bool = False) -> None:
 # Spec tables: per kind, the required keys and the optional keys with their
 # defaults; window specs and the config have no kind.  A value is a real
 # number or a nested list of them, integers for INTEGER_KEYS; it may be null
-# where its default is None, and for modes and band (default_modes and
-# default_band then apply).  NON_NUMERIC_KEYS hold other values: methods
+# where its default is None, and for modes; null modes and band take
+# default_modes and default_band.  NON_NUMERIC_KEYS hold other values: methods
 # is a non-empty list of METHODS, the rest are checked where they are read.
 SCENE_KEYS = {"paper_test_fn": ((), {}), "sine": ((), {}),
               "boxcar": ((), {"lo": 0.25, "hi": 0.75, "npix": 64}),
@@ -284,7 +283,7 @@ def _check_spec(spec: dict, what: str, kinds: dict, extra=None):
             raise ConfigError(f"methods must be a non-empty list of "
                               f"{list(METHODS)}, got {value!r}")
         if key not in NON_NUMERIC_KEYS and not (value is None and (
-                optional.get(key, 0) is None or key in ("modes", "band"))):
+                optional.get(key, 0) is None or key == "modes")):
             _check_numeric(value, name, key in INTEGER_KEYS)
     return kind, {**optional, **spec}
 
@@ -336,7 +335,7 @@ def window_from_config(spec: dict, dim: int) -> WindowSpec:
 
 
 def fourier_data(scene: Scene, raster: Raster, snr_db: float,
-                 noise_seed: int) -> SampleSet:
+                 seed: int) -> SampleSet:
     """The scene's Fourier data on `raster`, with noise at a finite SNR.
 
     Closed form where the scene has one, pixel quadrature otherwise.
@@ -346,7 +345,7 @@ def fourier_data(scene: Scene, raster: Raster, snr_db: float,
     else:
         samples = analytic_coeffs(scene, raster)
     if snr_db != math.inf:
-        samples = add_noise(samples, snr_db, noise_seed)
+        samples = add_noise(samples, snr_db, seed)
     return samples
 
 
@@ -366,7 +365,7 @@ PRESETS = {
     "noisy-grid": dict(
         raster={"kind": "jittered_grid", "extents": [15, 15], "jitter": 0.06,
                 "index_range": [[-15, 14], [-15, 14]]},
-        window={"sigma": 0.2, "trunc_eps": 1e-12}, modes=[14, 14]),
+        window={"sigma": 0.2, "trunc_eps": 1e-12}, modes=[14, 14], band=8),
     "asterisk": dict(
         raster={"kind": "asterisk", "spokes": 22, "radial_count": 5,
                 "max_radius": 5.0},
@@ -375,7 +374,8 @@ PRESETS = {
     "sas-wedge": dict(
         raster={"kind": "sas_wedge", "k_min": 1.0, "k_max": 1.5, "k_count": 25,
                 "ku_max": 1.2, "ku_count": 25, "rescale_to": [12, 12]},
-        window={"sigma": 1.0 / 6.0, "trunc_eps": 1e-12}, modes=[12, 12]),
+        window={"sigma": 1.0 / 6.0, "trunc_eps": 1e-12}, modes=[12, 12],
+        band=8),
 }
 
 
@@ -472,16 +472,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     """
     window = window_from_config(config.window, config.dim)
     scene = scene_from_config(config.scene, config.dim)
-    rast, transform = raster_from_config(config.raster, config.seed)
+    rast, _ = raster_from_config(config.raster, config.seed)
     if scene.dim != config.dim or rast.dim != config.dim:
         raise ConfigError("config dim does not match scene/raster dim")
     samples = fourier_data(scene, rast, config.snr_db,
                            config.seed + NOISE_SEED_OFFSET)
-    meta = {"preset": config.name}
-    if transform is not None:
-        meta["rescale_transform"] = transform
-    key = (rast.raster_id, config.window, config.modes, config.methods,
-           config.band, config.quad_nodes, config.rtol, meta)
+    # the one list of build_plan arguments, so the plan's key cannot miss one
+    build = dict(modes=config.modes, methods=config.methods, band=config.band,
+                 quad_nodes=config.quad_nodes, rtol=config.rtol)
+    key = (rast.raster_id, config.window, build)
     store = store or _Store()
     # neither image depends on the raster, seed or noise; both are shared
     # between runs and read-only.  They are made before the plan: made
@@ -494,9 +493,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     scn_img = store.get("scene", (config.scene, config.dim, grid),
                         lambda: scene_image(scene, grid, config.dim))
     reused = store.find("plan", key) is not None
-    plan = store.get("plan", key, lambda: build_plan(
-        rast, window, config.modes, config.methods, band=config.band,
-        quad_nodes=config.quad_nodes, rtol=config.rtol, meta=meta))
+    plan = store.get("plan", key, lambda: build_plan(rast, window, **build))
     # a repeat: the same plan, config but for the seed, and data, and
     # artifacts to copy when they are asked for
     run_key = (key, dataclasses.replace(config, seed=None),

@@ -94,8 +94,8 @@ class ReconPlan:
     carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
     their enclosing total; frame_pinv includes forming A, ftcg_pinv
-    forming R), retained-rank info, any raster rescale transform,
-    quadrature self-check drift and the warnings `build_plan` logs.
+    forming R), retained-rank info, quadrature self-check drift and the
+    warnings `build_plan` records.
     """
 
     raster: Raster
@@ -126,7 +126,6 @@ class ImageGrid:
     values: np.ndarray
     grid_size: tuple
     method: str = ""
-    plan_ref: Optional[str] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -293,8 +292,11 @@ def _diagonal_phases(raster: Raster, modes) -> tuple:
 def build_plan(raster: Raster, window: WindowSpec, modes=None,
                methods=METHODS, band: Optional[int] = None,
                quad_nodes: Optional[int] = None,
-               rtol: Optional[float] = None, meta: Optional[dict] = None) -> ReconPlan:
-    """Assemble every operator the requested methods need, once."""
+               rtol: Optional[float] = None) -> ReconPlan:
+    """Assemble every operator the requested methods need, once.
+
+    A mode box below the data extent goes to meta["mode_box_warning"],
+    and to the log only when `default_modes` chose it."""
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
@@ -307,8 +309,9 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         if band is None:
             band = default_band(len(raster))
         kept = band_pairs(len(raster), band)[0].size    # checks the band
+    defaulted = modes is None
     modes = _axis_modes(raster, modes)
-    meta = dict(meta or {})
+    meta = {}
     t0 = time.perf_counter()
     timings = {}
 
@@ -323,7 +326,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
         meta["mode_box_warning"] = (
             f"mode box {modes} does not cover data extent "
             f"{tuple(round(float(v), 3) for v in max_abs)}")
-        _log.warning(meta["mode_box_warning"])
+        if defaulted:
+            _log.warning(meta["mode_box_warning"])
 
     psi_axes = omega_axes = dvec = bmat = cmat = None
     if quad_nodes is None:
@@ -422,7 +426,7 @@ def synthesize(coeffs: np.ndarray, plan: ReconPlan, grid_size=None,
     """Evaluate sum_m c_m e^{2 pi i <m,x>} / w(x) on the output grid."""
     g = _grid_tuple(grid_size, plan.modes)
     return ImageGrid(values=_synthesize_modes(coeffs, plan.modes, g, plan.window),
-                     grid_size=g, method=method, plan_ref=plan.raster_ref)
+                     grid_size=g, method=method)
 
 
 def _grid_tuple(grid_size, modes) -> tuple:

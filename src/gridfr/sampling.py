@@ -96,8 +96,6 @@ class SampleSet:
 
     raster_ref: str
     values: np.ndarray
-    provenance: str = "analytic"    # analytic | quadrature | file
-    noise_seed: Optional[int] = None
     warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -136,7 +134,7 @@ def analytic_coeffs(scene: Scene, raster: Raster) -> SampleSet:
     if scene.dim != raster.dim:
         raise ConfigError(f"scene is {scene.dim}D but raster is {raster.dim}D")
     return SampleSet(raster_ref=raster.raster_id,
-                     values=_trig_values(scene, raster), provenance="analytic")
+                     values=_trig_values(scene, raster))
 
 
 def scene_eval(scene: Scene, x) -> np.ndarray:
@@ -194,7 +192,7 @@ def quadrature_coeffs(scene: Scene, raster: Raster,
     for ker in kernels[1:]:
         vals = np.einsum("pa...,pa->p...", vals, ker)
     return SampleSet(raster_ref=raster.raster_id, values=vals,
-                     provenance="quadrature", warnings=warnings)
+                     warnings=warnings)
 
 
 def _outer(vectors):
@@ -261,9 +259,7 @@ def add_noise(samples: SampleSet, snr_db: float, seed: int) -> SampleSet:
     noise = rng.normal(0.0, scale, len(samples)) \
         + 1j * rng.normal(0.0, scale, len(samples))
     return SampleSet(raster_ref=samples.raster_ref,
-                     values=samples.values + noise,
-                     provenance=samples.provenance, noise_seed=int(seed),
-                     warnings=samples.warnings)
+                     values=samples.values + noise, warnings=samples.warnings)
 
 
 def save_samples(samples: SampleSet, raster: Raster, path) -> None:
@@ -292,5 +288,4 @@ def load_samples(path, raster: Raster) -> SampleSet:
         raise FormatError(f"{path}: {len(rows)} rows for {len(raster)}-point raster")
     # the re and im columns side by side are the complex values' bytes
     values = np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]
-    return SampleSet(raster_ref=raster.raster_id, values=values,
-                     provenance="file")
+    return SampleSet(raster_ref=raster.raster_id, values=values)

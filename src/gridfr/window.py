@@ -127,14 +127,14 @@ def gauss_legendre_01(n: int):
     return rule
 
 
-def window_coefficient(m, sigma: float, nodes: int = 768):
+def window_coefficient(m, sigma: float):
     """Exact [0,1] Fourier coefficient of w: int_0^1 w(x) e^{-2 pi i m x} dx.
 
-    Gauss-Legendre quadrature; `m` may be an array.  This is the
+    768-node Gauss-Legendre quadrature; `m` may be an array.  This is the
     reference-grade version of `spectrum_factor` without the outside-
     [0,1] tail approximation.
     """
-    xq, wq = gauss_legendre_01(nodes)
+    xq, wq = gauss_legendre_01(768)
     wx = wq * window_values(xq, sigma)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.exp(-2j * np.pi * np.multiply.outer(m, xq)) @ wx

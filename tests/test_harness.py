@@ -20,6 +20,7 @@ from gridfr.harness import (METRIC_COLUMNS, RASTER_KEYS, SCENE_KEYS,
                             WINDOW_KEYS, raster_from_config, rsweep_config,
                             scene_from_config, sweep_config,
                             window_from_config)
+from gridfr.numerics import default_band
 
 
 def grid(vals):
@@ -377,10 +378,13 @@ def test_sweep_bad_axis():
 
 
 def test_preset_configs_well_formed():
-    for name in ("noisy-grid", "asterisk", "sas-wedge"):
+    # every preset pins its band, the same for every seed
+    for name, band in (("noisy-grid", 8), ("asterisk", 12), ("sas-wedge", 8)):
         cfg = preset_config(name, 0)
         assert cfg.dim == 2
         assert cfg.methods == ("cg", "frame", "ftcg")
+        assert {preset_config(name, s).band
+                for s in harness.PRESET_SEEDS[name]} == {band}
         # each call builds its own specs, so changing one leaves the next
         again = preset_config(name, 0)
         assert again.raster is not cfg.raster
@@ -390,6 +394,19 @@ def test_preset_configs_well_formed():
     # sweep point configs resolve too
     assert sweep_config(16, 1).band == math.ceil(math.log(33))
     assert rsweep_config(4, 1).modes == 16
+
+
+def test_config_without_band_takes_default_band(tmp_path):
+    # one default for the band: default_band(P), as for a null band and
+    # for `gridfr reconstruct`
+    spec = json.loads(small_config().to_json())
+    del spec["band"]
+    config = ExperimentConfig.from_dict(spec)
+    assert config.band is None
+    run_experiment(config, str(tmp_path))
+    header = (tmp_path / "tmatrix.csv").read_text().splitlines()[0]
+    assert header == f"# gridfr-tmatrix v1, order=17, band={default_band(17)}"
+    assert default_band(17) != 8
 
 
 def _count_builds(monkeypatch):

@@ -1,5 +1,7 @@
 """Invariants every estimator owes the paper's model, checked as properties.
 
+* Full-band FTCG is frame: with a square mode box (Q = P) and the band
+  covering all of T = Psi Omega, Omega (Psi Omega)^+ = Psi^+.
 * Linearity: each estimator maps data to coefficients by a fixed matrix.
 * Hermitian data gives a real image: on a raster closed under negation,
   data with f_hat(-lambda) = conj(f_hat(lambda)) comes from a real
@@ -43,6 +45,22 @@ def _gaussian(seed, n):
 
 def _coeffs(plan, values, method):
     return coefficients(plan, SampleSet(plan.raster_ref, values), method)
+
+
+@pytest.mark.parametrize("dim,extents", [(1, (4, 8, 12, 16)), (2, (2, 3, 4))])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), jitter=st.floats(0.0, 0.25), seed=SEEDS)
+def test_full_band_ftcg_equals_frame(dim, extents, data, jitter, seed):
+    n = data.draw(st.sampled_from(extents))
+    raster = jittered_grid((n,) * dim, jitter, seed)
+    plan = build_plan(raster, gaussian_window(0.125 if dim == 1 else 0.2,
+                                              1e-12, dim=dim),
+                      n, ("frame", "ftcg"), band=len(raster))
+    samples = SampleSet(plan.raster_ref, _gaussian(seed, len(raster)))
+    frame, ftcg = (reconstruct(m, samples, plan).values
+                   for m in ("frame", "ftcg"))
+    # worst measured: 3.3e-13 over 30 1D rasters, 4.7e-15 over 30 2D grids
+    assert np.linalg.norm(ftcg - frame) <= 1e-10 * np.linalg.norm(frame)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -172,23 +172,32 @@ def test_pinv_rank_deficient_tall_never_gram(key):
 @settings(max_examples=60, deadline=None)
 @given(kept=st.integers(8, 48), log_kappa=st.floats(0.0, 6.0),
        log_gap=st.floats(3.0, 12.0), log_scale=st.floats(-3.0, 3.0),
-       data=st.data())
+       dropped=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+# dropped values 1.6e-14, 3.1e-17 and 2.2e-14 of the largest: the
+# residual stays above its gate through every deflation step, and the
+# SVD runs, as `pseudo_inverse` allows
+@example(kept=25, log_kappa=3.0, log_gap=3.0, log_scale=3.0, dropped=3,
+         seed=25)
 def test_pinv_deflated_matches_svd_oracle(kept, log_kappa, log_gap,
-                                          log_scale, data):
+                                          log_scale, dropped, seed):
     # a few singular values at least 1e3 below the kept ones and below
-    # the threshold: deflated LU, never the full SVD
-    dropped = data.draw(st.integers(1, kept // 7))    # 8 * dropped <= n
-    seed = data.draw(st.integers(0, 2**32 - 1))
+    # the threshold: whichever exit runs matches the truncated SVD, and
+    # it is the deflated LU while the dropped values lie within a decade
+    # of each other and at least 1e-15 of the largest (none of 4,326 such
+    # draws took the SVD; 1 of 7,000 draws made as here did)
+    assume(dropped <= kept // 7)                        # 8 * dropped <= n
     rng = np.random.default_rng(seed)
     n = kept + dropped
     s = np.logspace(0.0, -log_kappa, kept)
     tail = s[-1] * min(10.0 ** -log_gap, 1e-10) * rng.uniform(0.0, 1.0, dropped)
+    regime = tail.max() <= 10.0 * tail.min() and tail.min() >= 1e-15 * s[0]
     s = 10.0 ** log_scale * np.concatenate([s, tail])
     a = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).conj().T
     p, info = pseudo_inverse(a)
     oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
     kappa = 10.0 ** log_kappa
-    assert info.factorization == "deflated-lu" and info.rank < n
+    if regime:
+        assert info.factorization == "deflated-lu"
     assert info.rank == oinfo.rank == kept
     assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
     _assert_brackets(info, oinfo)

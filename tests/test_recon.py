@@ -305,10 +305,21 @@ def test_admissibility_decay_slope():
 
 
 def test_mode_box_warning_recorded(caplog):
+    # a mode box the caller passes is its choice: recorded, not logged
     win = gaussian_window(0.125, 1e-12, dim=1)
     r = jittered_grid(8, 0.25, 4)
     plan = build_plan(r, win, 4, methods=("cg",))  # mode box way below data extent
     assert "mode_box_warning" in plan.meta
+    assert caplog.records == []
+
+
+def test_defaulted_mode_box_warning_logged(caplog):
+    # 17 points spaced 2 apart reach |lambda| = 16, but default_modes caps
+    # the box at (17 - 1) / 2 = 8 to keep the systems overdetermined
+    r = Raster(dim=1, points=2.0 * np.arange(-8, 9))
+    plan = build_plan(r, gaussian_window(0.125, 1e-12, dim=1),
+                      methods=("cg",))
+    assert plan.modes == (8,)
     assert [(rec.name, rec.levelname, rec.getMessage())
             for rec in caplog.records] == \
         [("gridfr", "WARNING", plan.meta["mode_box_warning"])]
