@@ -27,10 +27,6 @@ from .sampling import load_samples, save_samples
 from .window import gaussian_window
 
 
-def _parse_snr(text: str) -> float:
-    return math.inf if text in ("inf", "Inf", "INF") else float(text)
-
-
 # gen-raster's kinds as raster spec kinds; its other flags are spec keys
 RASTER_KINDS = {"jittered": "jittered_grid", "asterisk": "asterisk",
                 "sas-wedge": "sas_wedge"}
@@ -108,14 +104,9 @@ def _cmd_metrics(args) -> int:
 
 def _overrides(args) -> dict:
     """The config fields set by the --band/--snr/--method flags of `run`."""
-    out = {}
-    if args.band is not None:
-        out["band"] = args.band
-    if args.snr is not None:
-        out["snr_db"] = args.snr
-    if args.method:
-        out["methods"] = tuple(args.method)
-    return out
+    out = {"band": args.band, "snr_db": args.snr,
+           "methods": args.method and tuple(args.method)}
+    return {k: v for k, v in out.items() if v is not None}
 
 
 def _cmd_run(args) -> int:
@@ -187,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="evaluate scene Fourier data on a raster")
     p.add_argument("--raster", required=True)
     p.add_argument("--scene", choices=sorted(SCENES), default="paper")
-    p.add_argument("--snr", type=_parse_snr, default=math.inf)
+    p.add_argument("--snr", type=float, default=math.inf)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -213,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--band", type=int, default=None)
-    p.add_argument("--snr", type=_parse_snr, default=None)
+    p.add_argument("--snr", type=float, default=None)
     p.add_argument("--method", action="append", choices=METHODS)
     p.add_argument("--out", default=None)
 

@@ -191,7 +191,6 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
-        d["methods"] = list(self.methods)
         d["snr_db"] = "inf" if self.snr_db == math.inf else self.snr_db
         return json.dumps(d, indent=2, sort_keys=True)
 
@@ -504,7 +503,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
                    for m, r in last.reports.items()}
         if out_dir is not None:
             _copy_artifacts(last, out_dir)
-            _write_run_record(out_dir, config, reports)
+            _write_run_record(out_dir, config, plan, reports)
         return reports
     timings = {"plan_reused": True} if reused else plan.meta.get("timings", {})
 
@@ -533,7 +532,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         artifacts = _write_artifacts(out_dir, config, rast, samples, plan,
                                      reference, ref_csv, scn_img, images,
                                      reports)
-        _write_run_record(out_dir, config, reports)
+        _write_run_record(out_dir, config, plan, reports)
     store.put("run", run_key, _Run(reports, out_dir, artifacts))
     return reports
 
@@ -595,10 +594,14 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
     return tuple(names)
 
 
-def _write_run_record(out_dir, config, reports) -> None:
-    """resolved_config.json and timings.json, into the artifacts' dir."""
+def _write_run_record(out_dir, config, plan, reports) -> None:
+    """resolved_config.json (`config` with the mode box, band and
+    quadrature node count of `plan`) and timings.json, into out_dir."""
+    resolved = dataclasses.replace(
+        config, modes=plan.modes[0] if config.dim == 1 else plan.modes,
+        band=plan.band, quad_nodes=plan.meta["quad_nodes"])
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        fh.write(config.to_json() + "\n")
+        fh.write(resolved.to_json() + "\n")
     with open(os.path.join(out_dir, "timings.json"), "w") as fh:
         json.dump({m: reports[m].timings for m in reports}, fh, indent=2)
 
@@ -636,14 +639,10 @@ def run_preset(name: str, seeds=None, out_dir=None,
             per_seed.setdefault(method, []).append(rep)
     median = {}
     for method, reps in per_seed.items():
-        median[method] = {
-            "psnr_db": float(np.median([r.psnr_db for r in reps])),
-            "psnr_vs_scene_db": float(np.median([r.psnr_vs_scene_db for r in reps])),
-            "l2_rel": float(np.median([r.l2_rel for r in reps])),
-            "kappa_psi": reps[0].kappa_psi,
-            "kappa_c": reps[0].kappa_c,
-            "kept_fraction": reps[0].kept_fraction,
-        }
+        median[method] = {k: float(np.median([getattr(r, k) for r in reps]))
+                          for k in ("psnr_db", "psnr_vs_scene_db", "l2_rel")}
+        median[method].update({k: getattr(reps[0], k) for k in
+                               ("kappa_psi", "kappa_c", "kept_fraction")})
     return {"per_seed": per_seed, "median": median}
 
 

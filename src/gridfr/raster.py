@@ -7,9 +7,10 @@ based Philox generator seeded with a 64-bit key.
 File formats.  Each gridfr CSV file starts with a ``# gridfr-<kind> v1``
 line of ``key=value`` fields, then holds one row of comma-separated
 numbers per line; floats have 17 significant digits, so they read back
-bit for bit.  `save_raster`, `sampling.save_samples`,
-`recon.save_image_csv` and `numerics.save_magnitude_csv` write the four
-kinds; `read_rows` reads the first three and skips blank and ``#`` lines::
+bit for bit.  `write_rows` writes all four kinds (for `save_raster`,
+`sampling.save_samples`, `recon.save_image_csv` and
+`numerics.save_magnitude_csv`); `read_rows` reads the first three and
+skips blank and ``#`` lines::
 
     # gridfr-raster v1, dim=<d>, kind=<k>, seed=<s|none>
     kx[,ky]                   one point per line
@@ -32,6 +33,7 @@ Point order conventions (this order is what banded FTCG operators see):
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import numbers
@@ -250,19 +252,25 @@ def rescale_to_box(raster: Raster, extents) -> tuple:
 
 
 def save_raster(raster: Raster, path) -> None:
-    seed = raster.seed if raster.seed is not None else "none"
-    # savetxt gets an open file: given the path, it reopens it through
-    # numpy's DataSource, and presets' peak RSS read 157 MB, not 147
-    with open(path, "w") as fh:
-        np.savetxt(fh, raster.points.reshape(len(raster), -1), fmt="%.17g",
-                   delimiter=",", header=f"gridfr-raster v1, dim={raster.dim}, "
-                                         f"kind={raster.kind}, seed={seed}")
+    write_rows(path, "raster",
+               {"dim": raster.dim, "kind": raster.kind,
+                "seed": "none" if raster.seed is None else raster.seed},
+               raster.points.reshape(len(raster), -1))
 
 
-def _header_fields(header: str) -> dict:
-    """The ``key=value`` fields of a comma-separated file header line."""
-    pairs = (tok.split("=", 1) for tok in header.split(",") if "=" in tok)
-    return {k.strip(): v.strip() for k, v in pairs}
+def write_rows(path, kind: str, fields: dict, rows, fmt: str = "%.17g") -> None:
+    """Write `path` (or an open text stream) as a ``# gridfr-<kind> v1``
+    file: `fields` as the header's ``key=value`` pairs, then a line
+    ``fmt % tuple(row)`` per row of `rows`.  A `fmt` of one conversion
+    serves every column of a 2D array `rows`."""
+    if fmt.count("%") == 1:
+        fmt = ",".join([fmt] * np.shape(rows)[1])
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w")) as fh:
+        fh.write(", ".join([f"# gridfr-{kind} v1"]
+                           + [f"{k}={v}" for k, v in fields.items()]) + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row) + "\n")
 
 
 def read_rows(path, kind: str, columns) -> tuple:
@@ -279,7 +287,8 @@ def read_rows(path, kind: str, columns) -> tuple:
         if header.split(",", 1)[0].rstrip() != f"# gridfr-{kind} v1":
             raise FormatError(f"{path}: line 1: bad header {header!r}, "
                               f"expected '# gridfr-{kind} v1'")
-        fields = _header_fields(header)
+        pairs = (tok.split("=", 1) for tok in header.split(",") if "=" in tok)
+        fields = {k.strip(): v.strip() for k, v in pairs}
         ncols = columns(fields)
         rows = []
         for lineno, line in enumerate(fh, start=2):

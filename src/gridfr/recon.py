@@ -65,7 +65,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .numerics import (all_finite, band_mask, band_pairs, default_band,
                        density_weights, pseudo_inverse)
-from .raster import Raster, read_rows
+from .raster import Raster, read_rows, write_rows
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_magnitude,
                      truncation_radius, window_coefficient, window_values)
@@ -527,10 +527,9 @@ def save_image_csv(img: ImageGrid, path) -> None:
     """Real/imag parts side by side, one grid row per line; `path` may
     also be an open text stream."""
     vals = np.atleast_2d(img.values)
-    stacked = np.hstack([vals.real, vals.imag])
-    np.savetxt(path, stacked, delimiter=",", fmt="%.17g",
-               header=f"gridfr-image v1, shape={'x'.join(map(str, img.grid_size))}, "
-                      f"method={img.method}")
+    write_rows(path, "image", {"shape": "x".join(map(str, img.grid_size)),
+                               "method": img.method},
+               np.hstack([vals.real, vals.imag]))
 
 
 def _image_shape(path, fields: dict) -> tuple:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .raster import Raster, philox_rng, read_rows
+from .raster import Raster, philox_rng, read_rows, write_rows
 from .window import gauss_legendre_01
 
 SCENE_KINDS = ("paper_test_fn", "trig_poly", "grid_image")
@@ -267,9 +267,7 @@ def save_samples(samples: SampleSet, raster: Raster, path) -> None:
         raise ConfigError("sample/raster length mismatch")
     rows = np.column_stack([raster.points.reshape(len(raster), -1),
                             samples.values.real, samples.values.imag])
-    with open(path, "w") as fh:     # an open file, as in `save_raster`
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
-                   header=f"gridfr-samples v1, raster={samples.raster_ref}")
+    write_rows(path, "samples", {"raster": samples.raster_ref}, rows)
 
 
 def load_samples(path, raster: Raster) -> SampleSet:

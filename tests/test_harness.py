@@ -15,10 +15,11 @@ from hypothesis.extra import numpy as hnp
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, build_plan,
                     error_maps, harness, load_raster, load_samples,
                     preset_config, psnr, reconstruct, run_experiment,
-                    run_preset, run_sweep, save_image_csv)
+                    run_preset, run_sweep, save_image_csv, save_raster,
+                    save_samples)
 from gridfr.harness import (METRIC_COLUMNS, RASTER_KEYS, SCENE_KEYS,
-                            WINDOW_KEYS, raster_from_config, rsweep_config,
-                            scene_from_config, sweep_config,
+                            WINDOW_KEYS, fourier_data, raster_from_config,
+                            rsweep_config, scene_from_config, sweep_config,
                             window_from_config)
 from gridfr.numerics import default_band
 
@@ -261,7 +262,8 @@ def test_run_experiment_artifacts(tmp_path):
         assert expected in names
     cfg_back = ExperimentConfig.from_json(
         (out / "resolved_config.json").read_text())
-    assert cfg_back == small_config()
+    # the config as given, with the plan's default node count filled in
+    assert cfg_back == dataclasses.replace(small_config(), quad_nodes=384)
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[2] == ",".join(METRIC_COLUMNS)
     assert "kappa_masked_t" not in metrics[2]
@@ -269,6 +271,71 @@ def test_run_experiment_artifacts(tmp_path):
     tmatrix = (out / "tmatrix.csv").read_text().splitlines()
     assert tmatrix[0] == "# gridfr-tmatrix v1, order=17, band=3"
     assert len(tmatrix) == 1 + 5 * 17 - 6
+
+
+def test_resolved_config_names_the_plan_defaults(tmp_path):
+    # a 1D config that leaves the mode box, band and node count to the plan
+    # resolves to the integers the plan used, tmatrix.csv's band among
+    # them, and replays bit for bit from them
+    config = dataclasses.replace(small_config(), modes=None, band=None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_experiment(config, str(a))
+    resolved = json.loads((a / "resolved_config.json").read_text())
+    for key in ("modes", "band", "quad_nodes"):
+        assert isinstance(resolved[key], int), key
+    header = (a / "tmatrix.csv").read_text().splitlines()[0]
+    assert header.endswith(f", band={resolved['band']}")
+    run_experiment(ExperimentConfig.from_dict(resolved), str(b))
+    names = ["metrics.csv", "tmatrix.csv",
+             *(f"recon_{m}.csv" for m in config.methods)]
+    assert [n for n in names
+            if (a / n).read_bytes() != (b / n).read_bytes()] == []
+
+
+def test_copied_seed_writes_its_resolved_config(tmp_path):
+    # a seed that copies the previous seed's artifacts still writes its
+    # own resolved config, with the plan's node count
+    run_preset("asterisk", (101, 102), str(tmp_path))
+    first, second = (json.loads((tmp_path / f"seed{s}" /
+                                 "resolved_config.json").read_text())
+                     for s in (101, 102))
+    assert second["seed"] == 102 and isinstance(second["quad_nodes"], int)
+    assert {**first, "seed": 102} == second
+
+
+@pytest.mark.parametrize("name", ["asterisk", "noisy-grid", "sas-wedge"])
+def test_csv_bytes_match_savetxt(tmp_path, name):
+    # each preset's seed-101 raster, samples and ftcg image: their savers
+    # write the bytes np.savetxt writes for the same float rows
+    cfg = preset_config(name, 101)
+    raster, _ = raster_from_config(cfg.raster, cfg.seed)
+    samples = fourier_data(scene_from_config(cfg.scene, cfg.dim), raster,
+                           cfg.snr_db, cfg.seed + harness.NOISE_SEED_OFFSET)
+    plan = build_plan(raster, window_from_config(cfg.window, cfg.dim),
+                      cfg.modes, ("ftcg",), band=cfg.band,
+                      quad_nodes=cfg.quad_nodes, rtol=cfg.rtol)
+    img = reconstruct("ftcg", samples, plan, cfg.grid_size)
+    pts = raster.points.reshape(len(raster), -1)
+    seed = "none" if raster.seed is None else raster.seed
+    cases = {
+        "raster": (lambda path: save_raster(raster, path), pts,
+                   f"dim=2, kind={raster.kind}, seed={seed}"),
+        "samples": (lambda path: save_samples(samples, raster, path),
+                    np.column_stack([pts, samples.values.real,
+                                     samples.values.imag]),
+                    f"raster={raster.raster_id}"),
+        "image": (lambda path: save_image_csv(img, path),
+                  np.hstack([img.values.real, img.values.imag]),
+                  "shape=128x128, method=ftcg"),
+    }
+    for kind, (save, rows, fields) in cases.items():
+        save(tmp_path / "saved.csv")
+        np.savetxt(tmp_path / "savetxt.csv", rows, fmt="%.17g",
+                   delimiter=",", header=f"gridfr-{kind} v1, {fields}")
+        # compared first: a diff of two image files takes minutes
+        same = ((tmp_path / "saved.csv").read_bytes()
+                == (tmp_path / "savetxt.csv").read_bytes())
+        assert same, kind
 
 
 @pytest.mark.parametrize("config", [

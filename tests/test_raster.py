@@ -1,12 +1,17 @@
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridfr import (ConfigError, FormatError, ImageGrid, analytic_coeffs,
                     asterisk, jittered_grid, load_image_csv, load_raster,
                     load_samples, paper_test_scene, rescale_to_box, sas_wedge,
                     save_image_csv, save_raster, save_samples, sine_scene)
+from gridfr.raster import read_rows, write_rows
 from oracles import csv_text
 
 
@@ -250,6 +255,40 @@ def test_csv_writers_match_row_loop(tmp_path):
         assert path.read_text() == csv_text(
             f"# gridfr-samples v1, raster={r.raster_id}",
             [[*p, v.real, v.imag] for p, v in zip(pts, s.values)])
+
+
+# signed zeros, the smallest subnormal and the largest finite doubles,
+# drawn as often as any other finite float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("kind, fields, ncols", [
+    ("raster", {"dim": 1, "kind": "custom", "seed": "none"}, 1),
+    ("raster", {"dim": 2, "kind": "jittered_grid", "seed": 7}, 2),
+    ("samples", {"raster": "0123456789abcdef"}, 4),
+    ("image", {"shape": "3x4", "method": "ftcg"}, 8),
+])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nrows=st.integers(1, 12),
+       values=hnp.arrays(np.float64, 12 * 8, elements=st.one_of(
+           st.sampled_from(EDGE_FLOATS),
+           st.floats(allow_nan=False, allow_infinity=False))))
+@example(nrows=1, values=np.resize(EDGE_FLOATS, 12 * 8))
+@example(nrows=12, values=np.resize(EDGE_FLOATS, 12 * 8))
+def test_write_rows_read_rows_round_trip_bits(tmp_path, kind, fields, ncols,
+                                              nrows, values):
+    rows = values[:nrows * ncols].reshape(nrows, ncols)
+    path = tmp_path / "rows.csv"
+    write_rows(path, kind, fields, rows)
+    back_fields, back = read_rows(path, kind, lambda f: ncols)
+    assert back_fields == {k: str(v) for k, v in fields.items()}
+    np.testing.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+    # an open text stream gets the file's text
+    buf = io.StringIO()
+    write_rows(buf, kind, fields, rows)
+    assert buf.getvalue() == path.read_text()
 
 
 def test_duplicate_points_rejected():
