@@ -28,14 +28,16 @@ D = diag(d), d_n = e^{-i pi sum_a lambda_{n,a}}, and E = diag(e),
 e_m = (-1)^{sum_a m_a}.  Entries separate across axes: A[n, m] =
 prod_a A_a[n, m_a] and G[m, n] = prod_a G_a[m_a, n], with real per-axis
 tables A_a (P x (2M_a+1), `build_psi`) and G_a ((2M_a+1) x P,
-`build_omega`).  A plan holds the tables, d, e and the real inverses,
-and `coefficients` applies each estimator as e times a real operator on
-w = conj(d) f_hat, taking w's real and imaginary parts in turn:
+`build_omega`).  A plan holds the tables, d, e and two real Q x P
+operators, B = A^+ and F = G (R o M)^+, and `coefficients` applies each
+estimator as e times a real operator on w = conj(d) f_hat, taking w's
+real and imaginary parts in turn:
 
-    gamma = e o G (W w),   beta = e o A^+ w,   tau = e o G (R o M)^+ w.
+    gamma = e o G (W w),   beta = e o B w,   tau = e o F w.
 
-Only the frame solve forms the dense A; `_apply_omega` applies G one
-axis at a time, and `t_matrix` forms R = (A_1 G_1) o (A_2 G_2) entrywise.
+Only the frame solve forms the dense A, and only the product F the dense
+G; cg's `_apply_omega` applies G one axis at a time, and `t_matrix` forms
+R = (A_1 G_1) o (A_2 G_2) entrywise.
 The inverses come from `numerics.pseudo_inverse`, whose four exits its
 docstring describes: LU for a square system, Gram (the solve with
 A^H A) for a tall one, deflated LU, and the truncated SVD.  The phases
@@ -84,8 +86,10 @@ class ReconPlan:
     and the phases (see the module docstring): `psi_axes` the tables A_a,
     `omega_axes` the tables G_a = |O_a|, `phases` the diagonals (d, e) of
     D and E, `dvec` cg's density weights, `bmat` = A^+ (Q x P) and
-    `cmat` = (R o M)^+ (P x P).  Every array but d is float64;
-    `coefficients` applies D^H to the data vector and E to the result.
+    `cmat` = G (R o M)^+ (Q x P), ftcg's operator, named for the masked
+    inverse C = (R o M)^+ that `meta["c_pinv"]` describes and no plan
+    keeps.  Every array but d is float64; `coefficients` applies D^H to
+    the data vector and E to the result.
     `psi`, `omega` and `tmat` are always None, and `t_matrix` forms R
     from the tables (|T| = |R| entrywise).
     `rtol` is the threshold requested of both pseudo-inverses; None lets
@@ -94,8 +98,8 @@ class ReconPlan:
     carries build timings (seconds per stage: psi, drift, omega,
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
     their enclosing total; frame_pinv includes forming A, ftcg_pinv
-    forming R), retained-rank info, quadrature self-check drift and the
-    warnings `build_plan` records.
+    forming R and G (R o M)^+), retained-rank info, quadrature
+    self-check drift and the warnings `build_plan` records.
     """
 
     raster: Raster
@@ -109,7 +113,7 @@ class ReconPlan:
     phases: Optional[tuple] = None         # (d, e): diagonals of D and E
     dvec: Optional[np.ndarray] = None      # cg diagonal weights
     bmat: Optional[np.ndarray] = None      # frame: pinv(A)
-    cmat: Optional[np.ndarray] = None      # ftcg: pinv(R o M)
+    cmat: Optional[np.ndarray] = None      # ftcg: G pinv(R o M)
     meta: dict = field(default_factory=dict)
 
     psi = omega = tmat = property(lambda self: None)
@@ -278,6 +282,15 @@ def t_matrix(psi_axes, omega_axes) -> np.ndarray:
     return out
 
 
+def _ftcg_operator(psi_axes, omega_axes, band: int, rtol) -> tuple:
+    """ftcg's real operator F = G (R o M)^+ (Q x P) and the masked
+    inverse's info.  The P x P inverse lives only inside this call; G is
+    formed dense for the one product."""
+    inv, info = pseudo_inverse(band_mask(t_matrix(psi_axes, omega_axes),
+                                         band), rtol)
+    return _kron_rows([o.T for o in omega_axes]).T @ inv, info
+
+
 def _diagonal_phases(raster: Raster, modes) -> tuple:
     """The diagonals of D (P) and E (Q) in Psi = D A E: e^{-i pi sum_a
     lambda_{n,a}} per point and (-1)^{sum_a m_a} per mode, row-major."""
@@ -349,11 +362,11 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     if "cg" in methods:
         dvec = stage("density", density_weights, raster)
     # the real A and R o M are inverted; `coefficients` applies the phases.
-    # C before B: the masked R's inversion needs the most memory, so it
+    # F before B: the masked R's inversion needs the most memory, so it
     # runs while neither B nor the dense A is held, nor R once masked
     if "ftcg" in methods:
-        cmat, cinfo = stage("ftcg_pinv", lambda: pseudo_inverse(
-            band_mask(t_matrix(psi_axes, omega_axes), band), rtol))
+        cmat, cinfo = stage("ftcg_pinv", _ftcg_operator, psi_axes,
+                            omega_axes, band, rtol)
         meta["c_pinv"] = cinfo
         # the retained spectra of the masked system and of its pseudo-
         # inverse are reciprocal, so the two condition numbers coincide
@@ -383,7 +396,9 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
 
 def coefficients(plan: ReconPlan, samples: SampleSet,
                  method: Optional[str] = None) -> np.ndarray:
-    """Mode coefficients (gamma, beta or tau) for one data vector."""
+    """Mode coefficients (gamma, beta or tau) for one data vector: cg
+    applies its weights and G one axis at a time, frame and ftcg their
+    one real Q x P operator, `bmat` or `cmat`."""
     if samples.raster_ref != plan.raster_ref:
         raise ConfigError("samples were taken on a different raster")
     if method is None:
@@ -399,23 +414,21 @@ def coefficients(plan: ReconPlan, samples: SampleSet,
     parts = (w.real, w.imag)
     if method == "cg":
         re, im = (_apply_omega(plan.omega_axes, plan.dvec * v) for v in parts)
-    elif method == "frame":
-        re, im = _real_matvecs(plan.bmat, parts)
     else:
-        re, im = (_apply_omega(plan.omega_axes, v)
-                  for v in _real_matvecs(plan.cmat, parts))
+        re, im = _real_matvecs(plan.bmat if method == "frame" else plan.cmat,
+                               parts)
     return e * (re + 1j * im)
 
 
 def _real_matvecs(x: np.ndarray, parts) -> list:
     """x @ v for each real vector v in `parts`: one GEMM over them up to
-    500,000 entries, else one GEMV each.  With OpenBLAS on 2 cores, two
-    GEMVs on a 625 x 625 x ran on one core (0.32 ms; GEMM 0.15 ms), and
-    the GEMM packs a 900 x 900 x first (0.52 ms; GEMVs 0.36 ms).  In
-    the benchmark's apply op (the three preset plans, all estimators,
-    scored), taking the GEMM at 900 x 900 too made the op slower on the
-    same 2 cores: 5.25 -> 6.59 ms (medians of three alternated rounds of
-    1,500 ops)."""
+    500,000 entries, else one GEMV each.  The presets' frame and ftcg
+    operators fall on both sides.  With OpenBLAS 0.3.31 on 2 cores
+    (medians of 7 alternated rounds of 400 calls, two GEMVs against the
+    GEMM): 625 x 625 0.24 vs 0.13-0.15 ms, but the GEMM packs an 841 x
+    900 x first, 0.26-0.31 vs 0.49-0.52 ms; 121 x 221 ties at 0.009-0.014
+    ms.  The 1D sweeps' 13 x P operators (P = 17..129) lose 2-3 us a
+    call to the GEMM (0.0045-0.008 ms, GEMVs 0.0025-0.0047 ms)."""
     if x.size <= 500_000:
         return list((x @ np.column_stack(parts)).T)
     return [x @ v for v in parts]

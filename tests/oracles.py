@@ -66,6 +66,12 @@ def plan_psi(plan) -> np.ndarray:
     return rephased(dense_psi(plan.psi_axes), d, e)
 
 
+def plan_omega(plan) -> np.ndarray:
+    """The complex Omega = E G D^H a plan stands for (Q x P)."""
+    d, e = plan.phases
+    return rephased(dense_omega(plan.omega_axes), e, d.conj())
+
+
 def plan_t(plan) -> np.ndarray:
     """The complex T = Psi Omega = D R D^H a plan stands for (P x P)."""
     d, _ = plan.phases

@@ -163,10 +163,10 @@ jittered = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(raster=jittered, seed=seeds, data=st.data())
 def test_real_plan_coefficients_match_complex_oracles(raster, seed, data):
-    # the plan holds A^+, (R o M)^+ and G and applies D and E to each data
-    # vector; the oracles form the complex Psi and Omega entry by entry
-    # (the full quadrature rule and the closed-form spectrum) and invert
-    # by SVD at the ranks' thresholds
+    # the plan holds A^+, G (R o M)^+ and G's tables and applies D and E
+    # to each data vector; the oracles form the complex Psi and Omega
+    # entry by entry (the full quadrature rule and the closed-form
+    # spectrum) and invert by SVD at the ranks' thresholds
     win = gaussian_window(0.125 if raster.dim == 1 else 0.2, 1e-12,
                           dim=raster.dim)
     band = data.draw(st.integers(1, len(raster)), label="band")
