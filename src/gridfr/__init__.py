@@ -21,7 +21,8 @@ from .raster import (Raster, asterisk, jittered_grid, load_raster,
 from .recon import (ImageGrid, ReconPlan, build_omega, build_plan, build_psi,
                     coefficients, default_grid, default_modes, load_image_csv,
                     reconstruct, reference_image, save_image_csv, save_pgm,
-                    scene_image, synthesize, windowed_coefficients)
+                    scene_image, synthesize, windowed_coefficients,
+                    with_band)
 from .sampling import (SampleSet, Scene, add_noise, analytic_coeffs,
                        boxcar_scene, grid_image_scene, load_samples,
                        paper_test_scene, quadrature_coeffs, save_samples,

@@ -24,13 +24,21 @@ peak and norm are cached on its `ImageGrid` (`ImageGrid.peak`,
 difference and one reduction per metric.
 
 Plan reuse: `run_preset` and `run_sweep` each keep one store for the
-runs of a call, holding at most one value of each kind: the plan, the
-reference image, the scene image, reference.csv's text and the last
-run.  A value is released before its replacement is made, and the
-store is dropped when the call returns.  A plan is built only when a
-run's raster or build arguments differ from the previous run's;
-otherwise the run reuses that plan, which holds no data.  The seed-free
-asterisk and sas-wedge rasters therefore build once per call,
+runs of a call, holding at most one value of each kind: the raster, its
+samples, the plan, the reference image, the scene image, reference.csv's
+text and the last run.  A value is released before its replacement is
+made, and the store is dropped when the call returns.  A run reuses the
+held raster when its raster spec and seed are the previous run's, and
+the held samples when its raster, scene, SNR and seed are.  A plan is
+built only when a run's raster or build arguments differ from the
+previous run's; otherwise the run reuses that plan, which holds no
+data.  When they differ only in the band, the plan is derived from the
+held one (`recon.with_band`): only ftcg's band stage runs, so Psi, its
+quadrature drift check, Omega and the phases are computed once per
+raster, and a drifting raster's quadrature warning is logged once.  The
+band sweep runs seed-major, each seed's bands one after another, so
+that its plans are derived; the size sweep runs size-major.  The
+seed-free asterisk and sas-wedge rasters build once per call,
 noisy-grid once per seed.  A seed that reused a plan writes
 ``{"plan_reused": true}`` per method to its ``timings.json`` instead
 of build timings.  When a seed's config differs from the previous
@@ -73,7 +81,7 @@ from .raster import (Raster, asterisk, jittered_grid, rescale_to_box,
                      sas_wedge, save_raster)
 from .recon import (METHODS, ImageGrid, _axis_modes, _axis_sizes, build_plan,
                     reconstruct, reference_image, scene_image, save_image_csv,
-                    save_pgm, t_matrix)
+                    save_pgm, t_matrix, with_band)
 from .sampling import (Scene, SampleSet, add_noise, analytic_coeffs,
                        boxcar_scene, check_snr, paper_test_scene,
                        quadrature_coeffs, save_samples, sine_scene,
@@ -432,9 +440,10 @@ class _Run(NamedTuple):
 
 class _Store:
     """What the runs of one `run_preset` or `run_sweep` call share: the
-    plan, the reference and scene images, reference.csv's text and the
-    last run.  Holds at most one value of each kind, with the key it was
-    made for, and releases a value before it makes the next."""
+    raster, its samples, the plan, the reference and scene images,
+    reference.csv's text and the last run.  Holds at most one value of
+    each kind, with the key it was made for, and releases a value before
+    it makes the next, or once the next is derived from it."""
 
     def __init__(self):
         self._held = {}
@@ -444,12 +453,17 @@ class _Store:
         held = self._held.get(kind)
         return held[1] if held is not None and held[0] == key else None
 
-    def get(self, kind: str, key, make):
-        """`find`'s value, or else `make()`'s, which is then held."""
+    def get(self, kind: str, key, make, derive=None):
+        """`find`'s value, or else a new one, which is then held: the
+        held value's `derive(held_key, held_value)` when that is not
+        None, else `make()`, called once the held value is released."""
         value = self.find(kind, key)
         if value is None:
-            self._held.pop(kind, None)
-            value = self.put(kind, key, make())
+            held = self._held.pop(kind, None)
+            if derive is not None and held is not None:
+                value = derive(*held)
+            del held
+            value = self.put(kind, key, make() if value is None else value)
         return value
 
     def put(self, kind: str, key, value):
@@ -463,24 +477,30 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     Returns {method: MetricsReport}.  With `out_dir` set, also writes
     the artifacts listed in the module docstring.
-    With `store` set, the run shares what that store holds: the plan,
-    keyed by raster_id and every build_plan argument; the images, keyed
-    by the scene spec and what else they depend on; and the last run,
-    whose reports and artifacts a run repeating it takes (see "Plan
-    reuse" in the module docstring).
+    With `store` set, the run shares what that store holds: the raster
+    and its samples, keyed by what makes them; the plan, keyed by
+    raster_id and every build_plan argument, and derived from the held
+    plan when only the band differs; the images, keyed by the scene spec
+    and what else they depend on; and the last run, whose reports and
+    artifacts a run repeating it takes (see "Plan reuse" in the module
+    docstring).
     """
     window = window_from_config(config.window, config.dim)
     scene = scene_from_config(config.scene, config.dim)
-    rast, _ = raster_from_config(config.raster, config.seed)
+    store = store or _Store()
+    rast = store.get("raster", (config.raster, config.seed), lambda:
+                     raster_from_config(config.raster, config.seed)[0])
     if scene.dim != config.dim or rast.dim != config.dim:
         raise ConfigError("config dim does not match scene/raster dim")
-    samples = fourier_data(scene, rast, config.snr_db,
-                           config.seed + NOISE_SEED_OFFSET)
-    # the one list of build_plan arguments, so the plan's key cannot miss one
-    build = dict(modes=config.modes, methods=config.methods, band=config.band,
+    samples = store.get(
+        "samples", (rast.raster_id, config.scene, config.snr_db, config.seed),
+        lambda: fourier_data(scene, rast, config.snr_db,
+                             config.seed + NOISE_SEED_OFFSET))
+    # the one list of build_plan arguments, so the plan's key cannot miss
+    # one; the band comes last, for plans that differ only in the band
+    build = dict(modes=config.modes, methods=config.methods,
                  quad_nodes=config.quad_nodes, rtol=config.rtol)
-    key = (rast.raster_id, config.window, build)
-    store = store or _Store()
+    key = (rast.raster_id, config.window, build, config.band)
     # neither image depends on the raster, seed or noise; both are shared
     # between runs and read-only.  They are made before the plan: made
     # after it, they raised the presets benchmark's peak RSS by 11 MB.
@@ -492,7 +512,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     scn_img = store.get("scene", (config.scene, config.dim, grid),
                         lambda: scene_image(scene, grid, config.dim))
     reused = store.find("plan", key) is not None
-    plan = store.get("plan", key, lambda: build_plan(rast, window, **build))
+
+    def derive(held_key, held_plan):
+        # only ftcg's operator depends on the band: a plan at another
+        # band shares every other one with the held plan
+        if held_key[:-1] == key[:-1] and "ftcg" in config.methods:
+            return with_band(held_plan, config.band)
+        return None
+
+    plan = store.get("plan", key, lambda: build_plan(
+        rast, window, band=config.band, **build), derive)
     # a repeat: the same plan, config but for the seed, and data, and
     # artifacts to copy when they are asked for
     run_key = (key, dataclasses.replace(config, seed=None),
@@ -654,7 +683,8 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
     """Median l2 error (vs the true scene) over a raster-size or band sweep.
 
     axis="N": methods x sizes table over N in {8,16,32,64}.
-    axis="r": FTCG over band half-widths {2,4,8,full} at N=16.
+    axis="r": FTCG over band half-widths {2,4,8,full} at N=16, run
+    seed-major so that each seed's bands share one raster's operators.
     Returns {"axis": ..., "values": [...], "table": {method: [...]}}.
     """
     if axis == "N":
@@ -666,14 +696,17 @@ def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
     if seeds is None:
         seeds = PRESET_SEEDS[preset]
     store = _Store()
+    # the band sweep runs seed-major, so that a seed's bands share its
+    # raster, samples and every band-free operator of its plan
+    order = ([(p, s) for s in seeds for p in points] if axis == "r"
+             else [(p, s) for p in points for s in seeds])
+    reports = {run: run_experiment(make(*run), None, store) for run in order}
     values, table = [], {}
     for point in points:
-        configs = [make(point, seed) for seed in seeds]
-        values.append(point if axis == "N" else configs[0].band)
-        reports = [run_experiment(config, None, store) for config in configs]
-        for m in configs[0].methods:
+        values.append(point if axis == "N" else make(point, seeds[0]).band)
+        for m in reports[point, seeds[0]]:
             table.setdefault(m, []).append(float(np.median(
-                [r[m].l2_rel_vs_scene for r in reports])))
+                [reports[point, s][m].l2_rel_vs_scene for s in seeds])))
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("# gridfr sweep v1, l2 relative error vs true scene\n")

@@ -35,9 +35,11 @@ real and imaginary parts in turn:
 
     gamma = e o G (W w),   beta = e o B w,   tau = e o F w.
 
-Only the frame solve forms the dense A, and only the product F the dense
-G; cg's `_apply_omega` applies G one axis at a time, and `t_matrix` forms
-R = (A_1 G_1) o (A_2 G_2) entrywise.
+Only the frame solve forms the dense A, and nothing forms the dense G:
+F is formed one first-axis mode at a time (`_ftcg_operator`), cg's
+`_apply_omega` applies G one axis at a time, and `t_matrix` forms
+R = (A_1 G_1) o (A_2 G_2) entrywise.  Only F depends on the band, so
+`with_band` derives a plan at another band from one already built.
 The inverses come from `numerics.pseudo_inverse`, whose four exits its
 docstring describes: LU for a square system, Gram (the solve with
 A^H A) for a tall one, deflated LU, and the truncated SVD.  The phases
@@ -55,6 +57,7 @@ reconstruction quality gates in the test suite.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import numbers
@@ -99,7 +102,10 @@ class ReconPlan:
     density, frame_pinv, ftcg_pinv, for the stages the methods need, and
     their enclosing total; frame_pinv includes forming A, ftcg_pinv
     forming R and G (R o M)^+), retained-rank info, quadrature
-    self-check drift and the warnings `build_plan` records.
+    self-check drift and the warnings `build_plan` records.  A plan that
+    `with_band` derived shares all of that with the plan it came from
+    except the band stage's entries and the timings, which list only
+    ftcg_pinv and total, the stages it ran.
     """
 
     raster: Raster
@@ -190,23 +196,38 @@ def default_quad_nodes(raster: Raster, modes) -> int:
     return max(384, 64 * int(np.ceil(8.0 * reach / 64.0)))
 
 
+@functools.lru_cache(maxsize=32)
+def _half_rule_tables(m: int, sigma: float, nodes: int) -> tuple:
+    """u and the two tables of `_half_rule_sums` (read-only): v_q cos(k
+    u_q) and v_q sin(k u_q) for k = -m..m, each the transposed view of a
+    (2m+1) x (nodes - nodes // 2) stack.  Cached: every plan on the same
+    mode box, window and rule shares them, and so does every drift check."""
+    xq, wq = (a[nodes // 2:] for a in gauss_legendre_01(nodes))
+    u = 2.0 * np.pi * (xq - 0.5)
+    v = 2.0 * wq / window_values(xq, sigma)
+    if nodes % 2:
+        v[0] /= 2.0
+    ku = np.multiply.outer(np.arange(m + 1), u)
+    c, s = v * np.cos(ku), v * np.sin(ku)
+    tables = (u, np.vstack([c[:0:-1], c]).T, np.vstack([-s[:0:-1], s]).T)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _half_rule_sums(lam, m: int, sigma: float, nodes: int) -> np.ndarray:
     """A[n, k] = sum_q 2 v_q cos(2 pi (k - lam_n) u_q), k = -m..m, over the
     upper half u_q = x_q - 1/2 >= 0 of the Gauss-Legendre rule, v_q =
     w_q / w(x_q), the centre node of an odd rule counted once.  Rule and
     window are symmetric about 1/2, so this is the rule's sum of
     e^{2 pi i (k - lam) x} / w(x) times e^{-i pi (k - lam)}.  Two real GEMMs
-    (cos.cos + sin.sin), from k = 0..m: cos is even and sin odd in k."""
-    xq, wq = (a[nodes // 2:] for a in gauss_legendre_01(nodes))
-    u = 2.0 * np.pi * (xq - 0.5)
-    v = 2.0 * wq / window_values(xq, sigma)
-    if nodes % 2:
-        v[0] /= 2.0
-    lu, ku = np.multiply.outer(lam, u), np.multiply.outer(np.arange(m + 1), u)
-    c, s = v * np.cos(ku), v * np.sin(ku)
-    out = np.cos(lu) @ np.vstack([c[:0:-1], c]).T
+    (cos.cos + sin.sin) against `_half_rule_tables`, built from k = 0..m:
+    cos is even and sin odd in k."""
+    u, cos_k, sin_k = _half_rule_tables(m, sigma, nodes)
+    lu = np.multiply.outer(lam, u)
+    out = np.cos(lu) @ cos_k
     if m:       # else the sine terms vanish
-        out += np.sin(lu) @ np.vstack([-s[:0:-1], s]).T
+        out += np.sin(lu) @ sin_k
     return out
 
 
@@ -284,11 +305,23 @@ def t_matrix(psi_axes, omega_axes) -> np.ndarray:
 
 def _ftcg_operator(psi_axes, omega_axes, band: int, rtol) -> tuple:
     """ftcg's real operator F = G (R o M)^+ (Q x P) and the masked
-    inverse's info.  The P x P inverse lives only inside this call; G is
-    formed dense for the one product."""
+    inverse's info.  The P x P inverse lives only inside this call.  In
+    2D, F is formed one first-axis mode m_1 at a time: its rows are
+    (G_1[m_1] o G_2)(R o M)^+, and both factors are restricted to the
+    span of points where G_1[m_1] is nonzero, which truncation keeps
+    short when the points are ordered along axis 1; the dense G is never
+    formed."""
     inv, info = pseudo_inverse(band_mask(t_matrix(psi_axes, omega_axes),
                                          band), rtol)
-    return _kron_rows([o.T for o in omega_axes]).T @ inv, info
+    if len(omega_axes) == 1:
+        return omega_axes[0] @ inv, info
+    g1, g2 = omega_axes
+    out = np.empty((len(g1) * len(g2), inv.shape[1]))
+    for row, block in zip(g1, out.reshape(len(g1), len(g2), -1)):
+        nz = np.flatnonzero(row)
+        span = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+        np.matmul(g2[:, span] * row[span], inv[span], out=block)
+    return out, info
 
 
 def _diagonal_phases(raster: Raster, modes) -> tuple:
@@ -319,9 +352,7 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     if window.dim != raster.dim:
         raise ConfigError("window/raster dimension mismatch")
     if "ftcg" in methods:
-        if band is None:
-            band = default_band(len(raster))
-        kept = band_pairs(len(raster), band)[0].size    # checks the band
+        band, kept_fraction = _checked_band(raster, band)
     defaulted = modes is None
     modes = _axis_modes(raster, modes)
     meta = {}
@@ -365,14 +396,8 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     # F before B: the masked R's inversion needs the most memory, so it
     # runs while neither B nor the dense A is held, nor R once masked
     if "ftcg" in methods:
-        cmat, cinfo = stage("ftcg_pinv", _ftcg_operator, psi_axes,
-                            omega_axes, band, rtol)
-        meta["c_pinv"] = cinfo
-        # the retained spectra of the masked system and of its pseudo-
-        # inverse are reciprocal, so the two condition numbers coincide
-        meta["kappa_masked_t"] = cinfo.kappa
-        meta["kappa_c"] = cinfo.kappa
-        meta["kept_fraction"] = kept / len(raster) ** 2
+        cmat = _band_stage(psi_axes, omega_axes, band, kept_fraction, rtol,
+                           meta, timings)
     if "frame" in methods:
         bmat, info = stage("frame_pinv", lambda: pseudo_inverse(
             _kron_rows(psi_axes), rtol))
@@ -382,14 +407,57 @@ def build_plan(raster: Raster, window: WindowSpec, modes=None,
     meta["timings"] = timings
     meta["quad_nodes"] = quad_nodes
     phases = _diagonal_phases(raster, modes)
-    for arr in (dvec, bmat, cmat, *phases, *(psi_axes or ()),
-                *(omega_axes or ())):
+    for arr in (dvec, bmat, *phases, *(psi_axes or ()), *(omega_axes or ())):
         if arr is not None:
             arr.setflags(write=False)
     return ReconPlan(raster=raster, window=window, modes=modes,
                      methods=methods, band=band, rtol=rtol, psi_axes=psi_axes,
                      omega_axes=omega_axes, phases=phases, dvec=dvec,
                      bmat=bmat, cmat=cmat, meta=meta)
+
+
+def with_band(plan: ReconPlan, band: Optional[int]) -> ReconPlan:
+    """`plan` at another band, equal bit for bit to what `build_plan`
+    returns for it: only ftcg's band stage runs again.  The new plan
+    shares every other array with `plan`, and every meta entry but the
+    band stage's (`c_pinv`, `kappa_c`, `kappa_masked_t`, `kept_fraction`)
+    and `timings`, which lists only ftcg_pinv and total.  `plan`'s
+    warnings are not logged again."""
+    if "ftcg" not in plan.methods:
+        raise ConfigError("with_band needs a plan built for ftcg")
+    t0 = time.perf_counter()
+    band, kept_fraction = _checked_band(plan.raster, band)
+    meta, timings = dict(plan.meta), {}
+    cmat = _band_stage(plan.psi_axes, plan.omega_axes, band, kept_fraction,
+                       plan.rtol, meta, timings)
+    timings["total"] = time.perf_counter() - t0
+    meta["timings"] = timings
+    return dataclasses.replace(plan, band=band, cmat=cmat, meta=meta)
+
+
+def _checked_band(raster: Raster, band: Optional[int]) -> tuple:
+    """The band (`default_band` for None) and the fraction of T's entries
+    it keeps; ConfigError for a band outside [1, P]."""
+    if band is None:
+        band = default_band(len(raster))
+    return band, band_pairs(len(raster), band)[0].size / len(raster) ** 2
+
+
+def _band_stage(psi_axes, omega_axes, band: int, kept_fraction: float, rtol,
+                meta: dict, timings: dict) -> np.ndarray:
+    """ftcg's band-dependent part of a plan: `cmat`, read-only, with its
+    meta entries written into `meta` and its time into `timings`."""
+    t0 = time.perf_counter()
+    cmat, cinfo = _ftcg_operator(psi_axes, omega_axes, band, rtol)
+    timings["ftcg_pinv"] = time.perf_counter() - t0
+    cmat.setflags(write=False)
+    meta["c_pinv"] = cinfo
+    # the retained spectra of the masked system and of its pseudo-
+    # inverse are reciprocal, so the two condition numbers coincide
+    meta["kappa_masked_t"] = cinfo.kappa
+    meta["kappa_c"] = cinfo.kappa
+    meta["kept_fraction"] = kept_fraction
+    return cmat
 
 
 # ------------------------------------------------------------ coefficients

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from gridfr import (ConfigError, ExperimentConfig, ImageGrid, build_plan,
                     error_maps, harness, load_raster, load_samples,
-                    preset_config, psnr, reconstruct, run_experiment,
+                    preset_config, psnr, recon, reconstruct, run_experiment,
                     run_preset, run_sweep, save_image_csv, save_raster,
                     save_samples)
 from gridfr.harness import (METRIC_COLUMNS, RASTER_KEYS, SCENE_KEYS,
@@ -439,6 +440,29 @@ def test_sweep_reference_computed_once(monkeypatch, axis):
     assert len(calls) == 2
 
 
+def test_band_sweep_assembles_each_raster_once(monkeypatch):
+    # seed-major, a seed's four bands share its raster, samples, Psi with
+    # its drift check, and Omega: only ftcg's band stage runs per band
+    calls = []
+    for module, name in ((harness, "jittered_grid"),
+                         (harness, "analytic_coeffs"), (recon, "build_psi"),
+                         (recon, "psi_quadrature_drift"),
+                         (recon, "build_omega")):
+        def counting(*args, name=name, fresh=getattr(module, name),
+                     **kwargs):
+            calls.append(name)
+            return fresh(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    seeds = harness.PRESET_SEEDS["rsweep-1d"]
+    table = run_sweep("r", seeds)["table"]
+    assert collections.Counter(calls) == dict.fromkeys(
+        ("jittered_grid", "analytic_coeffs", "build_psi",
+         "psi_quadrature_drift", "build_omega"), len(seeds))
+    np.testing.assert_allclose(table["ftcg"], SWEEP_TABLES["r"]["ftcg"],
+                               rtol=1e-9, atol=0)
+
+
 def test_sweep_bad_axis():
     with pytest.raises(ConfigError):
         run_sweep("Q")
@@ -582,24 +606,30 @@ def test_run_preset_releases_previous_plan(monkeypatch):
     assert all(ref() is None for ref in plans)
 
 
-@pytest.mark.parametrize("call", [
-    lambda out: run_preset("asterisk", (101, 102), str(out)),
-    lambda out: run_sweep("r", (11, 12), str(out / "sweep.csv")),
+@pytest.mark.parametrize("call, counts", [
+    (lambda out: run_preset("asterisk", (101, 102), str(out)),
+     {"build_plan": 1, "with_band": 0}),
+    (lambda out: run_sweep("r", (11, 12), str(out / "sweep.csv")),
+     {"build_plan": 2, "with_band": 6}),
 ], ids=["run_preset", "run_sweep"])
-def test_store_released_on_return(monkeypatch, tmp_path, call):
-    # the plans and images a call's store held are unreachable once the
-    # call returns
+def test_store_released_on_return(monkeypatch, tmp_path, call, counts):
+    # the plans, band-derived ones too, and the images a call's store
+    # held are unreachable once the call returns
     made = {}
-    for name in ("build_plan", "reference_image", "scene_image"):
+    for name in ("build_plan", "with_band", "reference_image",
+                 "scene_image"):
+        made[name] = []
+
         def tracking(*args, name=name, fresh=getattr(harness, name),
                      **kwargs):
             value = fresh(*args, **kwargs)
-            made.setdefault(name, []).append(weakref.ref(value))
+            made[name].append(weakref.ref(value))
             return value
 
         monkeypatch.setattr(harness, name, tracking)
     call(tmp_path)
-    assert len(made) == 3
+    assert {k: len(made[k]) for k in counts} == counts
+    assert len(made["reference_image"]) == len(made["scene_image"]) == 1
     assert all(ref() is None for refs in made.values() for ref in refs)
 
 

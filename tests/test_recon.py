@@ -138,6 +138,49 @@ def test_plan_rebuild_deterministic():
     assert np.array_equal(a.cmat, b.cmat)
 
 
+@pytest.mark.parametrize("dim, extents, sigma",
+                         [(1, (4, 8, 16), 0.125), (2, (2, 3, 4), 0.2)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_with_band_matches_fresh_build(dim, extents, sigma, data, seed):
+    # a plan derived at another band is a fresh build at that band, bit
+    # for bit, and shares every band-free array with the plan it came from
+    n = data.draw(st.sampled_from(extents))
+    raster = jittered_grid((n,) * dim, 0.25, seed)
+    first, band = (data.draw(st.integers(1, len(raster))) for _ in range(2))
+    win = gaussian_window(sigma, 1e-12, dim=dim)
+    base = build_plan(raster, win, n, band=first)
+    derived = recon.with_band(base, band)
+    fresh = build_plan(raster, win, n, band=band)
+    for name in ("psi_axes", "omega_axes", "phases", "dvec", "bmat"):
+        got, want = getattr(derived, name), getattr(fresh, name)
+        assert got is getattr(base, name), name
+        if isinstance(got, np.ndarray):
+            got, want = (got,), (want,)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+    assert derived.band == fresh.band == band and base.band == first
+    assert np.array_equal(derived.cmat, fresh.cmat)
+    assert not derived.cmat.flags.writeable
+    for key in ("c_pinv", "kappa_c", "kappa_masked_t", "kept_fraction",
+                "psi_quad_drift", "psi_pinv", "quad_nodes"):
+        assert derived.meta[key] == fresh.meta[key], key
+    assert set(derived.meta["timings"]) == {"ftcg_pinv", "total"}
+    assert set(base.meta["timings"]) == set(fresh.meta["timings"])
+
+
+def test_with_band_checks_band_and_methods():
+    win = gaussian_window(0.125, 1e-12, dim=1)
+    raster = jittered_grid(4, 0.25, 3)
+    plan = build_plan(raster, win, 4, band=2)
+    for band in (0, len(raster) + 1):
+        with pytest.raises(ConfigError):
+            recon.with_band(plan, band)
+    assert recon.with_band(plan, None).band == \
+        build_plan(raster, win, 4).band
+    with pytest.raises(ConfigError):
+        recon.with_band(build_plan(raster, win, 4, ("cg", "frame")), 2)
+
+
 def test_plans_compare_and_hash_by_identity():
     # equal-valued plans hold arrays, which have no single truth value
     win = gaussian_window(0.125, 1e-12, dim=1)
@@ -520,6 +563,36 @@ def test_ftcg_operator_matches_unfused_form(dim, extents, data, jitter, seed):
                                  band), plan.meta["c_pinv"].rtol)
     want = e * (dense_omega(plan.omega_axes) @ (inv @ (d.conj() * f)))
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("modes, sort", [((9, 3), True), ((2, 2), False)],
+                         ids=["modes-beyond-reach", "unordered"])
+def test_ftcg_operator_blocks_match_dense_product(monkeypatch, modes, sort):
+    # F is formed one first-axis mode at a time over the span of points
+    # that mode reaches; it equals the dense G times the same inverse,
+    # also where a mode reaches no point (its rows are zero) and where the
+    # points are not ordered along axis 1 (the span is wide)
+    raster = jittered_grid((2, 2), 0.25, 3)
+    if not sort:
+        perm = np.random.default_rng(5).permutation(len(raster))
+        raster = Raster(dim=2, points=raster.points[perm])
+    inverses = []
+    fresh = recon.pseudo_inverse
+
+    def keeping(*args):
+        inv, info = fresh(*args)
+        inverses.append(inv)
+        return inv, info
+
+    monkeypatch.setattr(recon, "pseudo_inverse", keeping)
+    plan = build_plan(raster, gaussian_window(0.2, 1e-12, dim=2), modes,
+                      ("ftcg",))
+    reached = plan.omega_axes[0].any(axis=1)
+    assert reached.all() != sort
+    want = dense_omega(plan.omega_axes) @ inverses[0]
+    assert np.linalg.norm(plan.cmat - want) <= \
+        1e-14 * np.linalg.norm(want)
+    assert not plan.cmat[np.repeat(~reached, 2 * modes[1] + 1)].any()
 
 
 def test_coefficients_allocate_no_dense_temporary():
