@@ -254,10 +254,9 @@ def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
     relative, two steps before the floor).  The d smallest singular
     values of A are then at most |M|_F + err, and the split is returned
     only when that is below rtol*scale too.  Nor is it returned when the
-    next Ritz value shows
-    that `pseudo_inverse` would refuse the deflated inverse: its bound
-    on the smallest kept singular value is at most
-    sigma_(n-d)(A) <= 1/theta_(d+1), and it must exceed
+    next Ritz value shows that `pseudo_inverse` would refuse the
+    deflated inverse: its bound on the smallest kept singular value is
+    at most sigma_(n-d)(A) <= 1/theta_(d+1), and it must exceed
     rtol*sqrt(|A|_1 |A|_inf).
     """
     n = a.shape[0]
