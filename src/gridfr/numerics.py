@@ -3,22 +3,21 @@ and density-compensation quadrature weights.
 
 Matrices are plain numpy arrays, real or complex (the plans hand over
 real ones; see `recon.ReconPlan`), and every factorization is one of
-numpy's LAPACK bindings (LU, SVD, and QR for the bases of subspace
-iteration).  The pseudo-inverse treats singular values below
-``rtol * sigma_max`` as zero (by default
-``rtol = 1e-10 * max(rows, cols)``) and has four exits: LU, the inverse
-of a square matrix, when its 1-inf norm bounds certify that no singular
-value falls below the threshold; Gram, the solution X of
+numpy's LAPACK bindings (LU, SVD and the symmetric eigensolver).  A
+pseudo-inverse treats singular values below ``rtol * sigma_max`` as zero
+(by default ``rtol = 1e-10 * max(rows, cols)``) and has four exits: LU,
+the inverse of a square matrix, when its 1-inf norm bounds certify that
+no singular value falls below the threshold; Gram, the solution X of
 (A^H A) X = A^H for a tall matrix, when its left-inverse residual
-X A - I is at rounding level and the same bounds certify it; deflated
-LU, for a square matrix that drops a few singular values, the LU
-inverse after deflating those that subspace iteration finds, when the
-same bounds certify that the truncated SVD drops exactly those; and
-otherwise SVD, the truncated SVD, the only exit that computes all
-singular values.  Every exit reports its retained rank and condition
-number (an upper bound, except after the SVD) so ill-conditioning is
-visible instead of silent.  `save_magnitude_csv` picks the band's
-entries for `raster.write_rows`, which formats the file.
+X A - I is at rounding level and the same bounds certify it; capped,
+for a square real matrix that keeps at most `cap` singular values
+(`capped_pinv`), the top eigenpairs of its Gram matrix, when the left
+factor they give is orthonormal to rounding; and otherwise SVD, the
+truncated SVD, the only exit that computes all singular values.  Every
+exit reports its retained rank and condition number (an upper bound
+after LU and Gram) so ill-conditioning is visible instead of silent.
+`save_magnitude_csv` picks the band's entries for `raster.write_rows`,
+which formats the file.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .raster import Raster, philox_rng, write_rows
+from .raster import Raster, write_rows
 
 # glibc slides its mmap and trim thresholds up as blocks are freed, so the
 # heap that plan builds keep depends on their order; fixed, it does not.
@@ -66,15 +65,13 @@ class PinvInfo:
     """Spectrum bookkeeping for one truncated pseudo-inversion.
 
     `factorization` names the exit that ran: "lu" (square), "gram"
-    (tall: X solves (A^H A) X = A^H), "deflated-lu" (rank < n: an LU
-    inverse after deflating the dropped singular values that subspace
-    iteration found) or "svd".  After "svd", `sigma_max` and
-    `sigma_min_kept` are the exact largest and smallest retained
-    singular values.  After the others `sigma_max` is the bound
-    sqrt(|A|_1 |A|_inf) and `sigma_min_kept` a lower bound on the
+    (tall: X solves (A^H A) X = A^H), "capped" (`capped_pinv`: the top
+    eigenpairs of A^T A) or "svd".  After "capped" and "svd",
+    `sigma_max` and `sigma_min_kept` are the exact largest and smallest
+    retained singular values.  After the others `sigma_max` is the
+    bound sqrt(|A|_1 |A|_inf) and `sigma_min_kept` a lower bound on the
     smallest kept singular value: 1/sqrt(|X|_1 |X|_inf) for the inverse
-    X after "lu", that minus the deflation residual err after
-    "deflated-lu", and (1 - eta)/sqrt(|X|_1 |X|_inf) after "gram", with
+    X after "lu", and (1 - eta)/sqrt(|X|_1 |X|_inf) after "gram", with
     eta = sqrt(|E|_1 |E|_inf) for the left-inverse residual E = X A - I.
     So `kappa` bounds the retained 2-norm condition number from above
     (after "lu" or "gram" within a factor about sqrt(rows*cols)).
@@ -96,22 +93,18 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
     """Moore-Penrose pseudo-inverse with relative truncation.
 
     Returns ``(pinv, info)``.  Singular values below rtol*sigma_max are
-    treated as zero.  A square matrix is first inverted by LU, kept when
+    treated as zero.  A square matrix is inverted by LU, kept when
     `_certified` proves every singular value above the threshold.  A
     tall one is inverted through its Gram matrix, X = (A^H A)^-1 A^H,
     whose error grows like kappa^2, so X is kept only when its
     left-inverse residual eta = |X A - I| is at most _GRAM_RESIDUAL
     and `_certified` proves every singular value above the threshold
-    with the lower bound (1 - eta)/|X|.  For an uncertified square
-    matrix, block subspace iteration on X looks for the few singular
-    values it drops (`_trailing_subspaces`); the matrix is deflated on
-    their singular subspaces and inverted by LU (`_deflated_pinv`), kept
-    when `_certified` proves that the truncated SVD drops exactly those
-    values.  Any other matrix (wide, an exactly singular factor, a
-    non-finite inverse or bound, a Gram inverse with a larger residual,
-    an uncertified spectrum) takes the truncated SVD, the only exit that
-    computes all singular values.  An identically zero matrix (rank collapse) and an SVD that
-    does not converge are NumericalErrors.
+    with the lower bound (1 - eta)/|X|.  Any other matrix (wide, an
+    exactly singular factor, a non-finite inverse or bound, a Gram
+    inverse with a larger residual, an uncertified spectrum) takes the
+    truncated SVD, the only exit that computes all singular values.  An
+    identically zero matrix (rank collapse) and an SVD that does not
+    converge are NumericalErrors.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -132,26 +125,55 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None):
                 if eta <= _GRAM_RESIDUAL else None)
     if info is not None:
         return x, info
-    if rows > n:
-        del x       # dropped before the SVD's work arrays are made
-        return _svd_pinv(a, rtol)
-    # the largest column 2-norm bounds sigma_max from below; an overflow
-    # (a bound beyond 1e308) leaves the matrix to the SVD
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.linalg.norm(a, axis=0).max())
-        split = _trailing_subspaces(a, x, rtol, scale)
-    del x
-    if split is not None:
-        v, u, err = split
-        pinv = _deflated_pinv(a, scale, v, u)
-        # a = K + U_d M V_d^H + E with |E| <= err, so each of its n-d
-        # largest singular values is at least sigma_min(K) - err, and
-        # pinv = K^+ has 2-norm 1/sigma_min(K)
-        info = _certified(a, pinv, rtol, n - v.shape[1], "deflated-lu", err)
-        if info is not None:
-            return pinv, info
-        del pinv
+    del x       # dropped before the SVD's work arrays are made
     return _svd_pinv(a, rtol)
+
+
+def capped_pinv(form, cap: int, rtol: float | None = None):
+    """Truncated pseudo-inverse of a square real matrix X of order
+    n > `cap` that keeps at most `cap` singular values (and, as ever,
+    none below rtol*sigma_max), in factored form.
+
+    `form()` returns X.  It is called again rather than X being held
+    while the eigensolver runs.  Returns ``(w, u, info)`` with
+    X_k^+ = w u^T, w = V_k S_k^-1 and u = X w = U_k (n x k) for the
+    k = `cap` largest singular values S_k and their singular vectors.
+    V_k and S_k^2 are the top eigenpairs of H = X^T X.  They are kept
+    when the left factor is orthonormal to rounding, eta = |u^T u - I|
+    <= _GRAM_RESIDUAL in the 1-inf bound, as the Gram exit of
+    `pseudo_inverse` is gated: H squares kappa, so a kept value near
+    sqrt(eps) sigma_max fails the gate.  Then sqrt(1 - eta) sigma_k
+    bounds X's k-th singular value from below (X V_k = u S_k), so the
+    kept values are those the truncated SVD keeps.  Otherwise, or when
+    fewer than `cap` values clear the threshold, the truncated SVD capped
+    at `cap` decides.  `info` holds the exact sigma_max and sigma_k.
+    """
+    x = form()
+    n = len(x)
+    if rtol is None:
+        rtol = default_rtol(x.shape)
+    h = x.T @ x
+    del x       # only H is held while eigh runs
+    try:
+        lam, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:       # no convergence: the SVD decides
+        lam, v = np.zeros(n), None
+    del h
+    sigma = np.sqrt(np.maximum(lam[n - cap:], 0.0))     # ascending
+    w = v[:, n - cap:] / sigma if sigma[0] > rtol * sigma[-1] else None
+    del v
+    if w is not None:
+        u = form() @ w
+        e = u.T @ u
+        e.flat[::cap + 1] -= 1.0
+        eta = _norm_1_inf(e)
+        if (eta <= _GRAM_RESIDUAL
+                and np.sqrt(1.0 - eta) * sigma[0] > rtol * sigma[-1]):
+            return w, u, PinvInfo(rank=cap, sigma_max=float(sigma[-1]),
+                                  sigma_min_kept=float(sigma[0]), rtol=rtol,
+                                  factorization="capped")
+        del w, u
+    return _svd_factors(form(), rtol, cap)
 
 
 def _norm_1_inf(a: np.ndarray) -> float:
@@ -197,135 +219,47 @@ def _left_residual(x: np.ndarray, a: np.ndarray) -> float:
 
 
 def _certified(a: np.ndarray, x: np.ndarray, rtol: float, rank: int,
-               kind: str, err: float = 0.0, residual: float = 0.0):
+               kind: str, residual: float = 0.0):
     """`PinvInfo` for `x` as the rank-`rank` inverse of `a`, or None.
 
     sqrt(|A|_1 |A|_inf) bounds sigma_max from above and
-    (1 - residual)/sqrt(|X|_1 |X|_inf) - err the smallest kept singular
-    value from below, when the kept part of A lies within 2-norm `err`
-    of a matrix with pseudo-inverse X, or when X is a left inverse of A
-    with residual |X A - I| <= `residual` (then |X A v| >= 1 - residual
-    for a unit v, so |A v| >= (1 - residual)/|X|).  None unless they put
+    (1 - residual)/sqrt(|X|_1 |X|_inf) the smallest kept singular value
+    from below, when X is the inverse of A or a left inverse with
+    residual |X A - I| <= `residual` (then |X A v| >= 1 - residual for
+    a unit v, so |A v| >= (1 - residual)/|X|).  None unless they put
     every kept value above rtol*sigma_max; a non-finite bound proves
     nothing.
     """
     with np.errstate(all="ignore"):
         upper = _norm_1_inf(a)
-        lower = (1.0 - residual) / _norm_1_inf(x) - err
+        lower = (1.0 - residual) / _norm_1_inf(x)
     if not rtol * upper < lower:
         return None
     return PinvInfo(rank=rank, sigma_max=upper, sigma_min_kept=lower,
                     rtol=rtol, factorization=kind)
 
 
-_DEFLATION_STEPS = 8
+def _svd_pinv(a: np.ndarray, rtol: float, cap: int | None = None):
+    """Truncated-SVD pseudo-inverse, keeping at most `cap` singular
+    values when given: the general path and the test oracle."""
+    w, u, info = _svd_factors(a, rtol, cap)
+    return w @ u.conj().T, info
 
 
-def _trailing_subspaces(a: np.ndarray, x: np.ndarray, rtol: float,
-                        scale: float):
-    """Certified dropped singular subspaces of square `a`.
-
-    `x` is an LU inverse of `a` and `scale` a lower bound on its largest
-    singular value.  Returns ``(v, u, err)``: orthonormal n x d bases
-    of the right and left singular subspaces of d >= 1 singular values
-    that lie below rtol*sigma_max, and a bound err on the 2-norm of
-    E = A - K - U_d M V_d^H, with K = (I - U_d U_d^H) A (I - V_d V_d^H)
-    and M = U_d^H A V_d.  Returns None when the SVD should decide
-    instead: none of the b Ritz values counts as dropped, all of them do
-    (more values may be dropped), the iteration overflows, or the
-    subspaces do not converge in _DEFLATION_STEPS steps.
-
-    The dropped singular values of A are the dominant ones of
-    X = V S^-1 U^H.  Block subspace iteration V <- qr(X X^H V) on
-    b = min(16, n//8 + 1) columns finds them (Halko, Martinsson & Tropp,
-    "Finding structure with randomness", SIAM Rev. 2011).  Its Ritz
-    values theta, the singular values of X^H V = U' diag(theta) W'^H,
-    interlace: theta_i <= sigma_i(X) = 1/sigma_(n+1-i)(A).  So
-    1/theta_i < rtol*scale proves the i-th smallest singular value of A
-    dropped, and V_d = V W'_d, U_d = U'_d are the top-d Ritz vectors.
-    The residuals A V_d - U_d M and A^H U_d - V_d M^H, whose norms sum
-    to err, shrink by the convergence ratio each step until they reach
-    the rounding floor that X's own error sets.  Deflating moves the
-    result by about err/sigma_min_kept relative to the truncated SVD's,
-    so the iteration stops only at that floor: when err is below
-    100 n eps scale and a step no longer halves it (with the same d).
-    Stopping as soon as err met that bound left up to 1e3 times the
-    SVD's error (a 33 x 33 masked T, kappa 2e5: 4.7e-8 against 3e-12
-    relative, two steps before the floor).  The d smallest singular
-    values of A are then at most |M|_F + err, and the split is returned
-    only when that is below rtol*scale too.  Nor is it returned when the
-    next Ritz value shows that `pseudo_inverse` would refuse the
-    deflated inverse: its bound on the smallest kept singular value is
-    at most sigma_(n-d)(A) <= 1/theta_(d+1), and it must exceed
-    rtol*sqrt(|A|_1 |A|_inf).
-    """
-    n = a.shape[0]
-    b = min(16, n // 8 + 1)
-    rng = philox_rng(n)
-    v = rng.normal(size=(n, b))
-    if np.iscomplexobj(a):
-        v = v + 1j * rng.normal(size=(n, b))
-    tol = 100 * n * np.finfo(float).eps * scale
-    y = x.conj().T @ v
-    last = (0, np.inf)      # d and err of the step before
-    for _ in range(_DEFLATION_STEPS):
-        v = np.linalg.qr(x @ y)[0]
-        y = x.conj().T @ v
-        if not all_finite(y):
-            return None
-        u, theta, wh = _svd(y, full_matrices=False)
-        dropped = int(np.count_nonzero(theta * (rtol * scale) > 1.0))
-        if dropped == b:
-            return None
-        if dropped == 0:
-            continue
-        v_d, u_d = v @ wh[:dropped].conj().T, u[:, :dropped]
-        av = a @ v_d
-        m = u_d.conj().T @ av
-        err = float(np.linalg.norm(av - u_d @ m)
-                    + np.linalg.norm(a.conj().T @ u_d - v_d @ m.conj().T))
-        if err <= tol and last[0] == dropped and 2 * err >= last[1]:
-            if (np.linalg.norm(m) + err < rtol * scale
-                    and theta[dropped] * rtol * _norm_1_inf(a) < 1.0):
-                return v_d, u_d, err
-            return None
-        last = (dropped, err)
-    return None
-
-
-def _deflated_pinv(a: np.ndarray, scale: float, v: np.ndarray,
-                   u: np.ndarray) -> np.ndarray:
-    """Truncated pseudo-inverse of square `a` from one LU inverse.
-
-    `v` and `u` span the right and left singular subspaces of the
-    dropped values: A = U_k S_k V_k^H + U_d S_d V_d^H.  The matrix
-    B = (I - U_d U_d^H) A (I - V_d V_d^H) + scale U_d V_d^H has singular
-    values S_k and `scale` (between sigma_max/sqrt(n) and sigma_max
-    here), so it is as well conditioned as the kept spectrum, and
-    A_k^+ = B^-1 - V_d U_d^H / scale.  The work arrays are n x n (B,
-    then its inverse) instead of the SVD's five to seven.
-    """
-    b = a.astype(np.result_type(a, v))
-    b -= u @ (u.conj().T @ b)
-    b -= (b @ v - scale * u) @ v.conj().T
-    pinv = np.linalg.inv(b)
-    del b
-    pinv -= (v / scale) @ u.conj().T
-    return pinv
-
-
-def _svd_pinv(a: np.ndarray, rtol: float):
-    """Truncated-SVD pseudo-inverse: the general path and the test oracle."""
+def _svd_factors(a: np.ndarray, rtol: float, cap: int | None = None):
+    """``(w, u, info)`` with `_svd_pinv`'s result w u^H: w = V_k S_k^-1
+    and u = U_k for the k kept singular values."""
     u, s, vh = _svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise NumericalError("zero matrix has no retained spectrum")
-    keep = s > rtol * s[0]
-    rank = int(np.count_nonzero(keep))
+    rank = int(np.count_nonzero(s > rtol * s[0]))
     if rank == 0:
         raise NumericalError("rank collapse: no singular value above threshold")
-    pinv = (vh[:rank].conj().T * (1.0 / s[:rank])) @ u[:, :rank].conj().T
-    return pinv, PinvInfo(rank=rank, sigma_max=float(s[0]),
-                          sigma_min_kept=float(s[rank - 1]), rtol=rtol)
+    if cap is not None:
+        rank = min(rank, cap)
+    return (vh[:rank].conj().T * (1.0 / s[:rank]), u[:, :rank],
+            PinvInfo(rank=rank, sigma_max=float(s[0]),
+                     sigma_min_kept=float(s[rank - 1]), rtol=rtol))
 
 
 def _svd(a: np.ndarray, **kwargs):

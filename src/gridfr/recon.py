@@ -40,12 +40,14 @@ F is formed one first-axis mode at a time (`_ftcg_operator`), cg's
 `_apply_omega` applies G one axis at a time, and `t_matrix` forms
 R = (A_1 G_1) o (A_2 G_2) entrywise.  Only F depends on the band, so
 `with_band` derives a plan at another band from one already built.
-The inverses come from `numerics.pseudo_inverse`, whose four exits its
-docstring describes: LU for a square system, Gram (the solve with
-A^H A) for a tall one, deflated LU, and the truncated SVD.  The phases
-change no singular value, so `meta["psi_pinv"]` and `meta["c_pinv"]`
-hold Psi's and the masked T's ranks and singular values (bounds, except
-after the SVD) and name the factorization that ran.
+The inverses come from `numerics`, whose docstring describes the four
+exits: LU for a square system, Gram (the solve with A^H A) for a tall
+one, the capped exit for the masked T when P > Q, and the truncated
+SVD.  T = Psi Omega has rank at most Q, so ftcg keeps at most Q singular
+values of R o M (`_ftcg_operator`).  The phases change no singular
+value, so `meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's and the
+masked T's ranks and singular values (bounds after LU and Gram) and
+name the factorization that ran.
 
 Note the sign in Psi: the exponent uses m - lambda_n *inside* a forward
 kernel, equivalently the inner product is taken conjugate-linear in the
@@ -68,8 +70,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .numerics import (all_finite, band_mask, band_pairs, default_band,
-                       density_weights, pseudo_inverse)
+from .numerics import (all_finite, band_mask, band_pairs, capped_pinv,
+                       default_band, density_weights, pseudo_inverse)
 from .raster import Raster, read_rows, write_rows
 from .sampling import SampleSet, Scene, _outer, _panel_rule, _scene_lattice
 from .window import (WindowSpec, gauss_legendre_01, spectrum_magnitude,
@@ -90,9 +92,10 @@ class ReconPlan:
     `omega_axes` the tables G_a = |O_a|, `phases` the diagonals (d, e) of
     D and E, `dvec` cg's density weights, `bmat` = A^+ (Q x P) and
     `cmat` = G (R o M)^+ (Q x P), ftcg's operator, named for the masked
-    inverse C = (R o M)^+ that `meta["c_pinv"]` describes and no plan
-    keeps.  Every array but d is float64; `coefficients` applies D^H to
-    the data vector and E to the result.
+    inverse C = (R o M)^+ (at most Q singular values kept) that
+    `meta["c_pinv"]` describes and no plan keeps.  Every array but d is
+    float64; `coefficients` applies D^H to the data vector and E to the
+    result.
     `psi`, `omega` and `tmat` are always None, and `t_matrix` forms R
     from the tables (|T| = |R| entrywise).
     `rtol` is the threshold requested of both pseudo-inverses; None lets
@@ -305,23 +308,40 @@ def t_matrix(psi_axes, omega_axes) -> np.ndarray:
 
 def _ftcg_operator(psi_axes, omega_axes, band: int, rtol) -> tuple:
     """ftcg's real operator F = G (R o M)^+ (Q x P) and the masked
-    inverse's info.  The P x P inverse lives only inside this call.  In
-    2D, F is formed one first-axis mode m_1 at a time: its rows are
-    (G_1[m_1] o G_2)(R o M)^+, and both factors are restricted to the
-    span of points where G_1[m_1] is nonzero, which truncation keeps
-    short when the points are ordered along axis 1; the dense G is never
-    formed."""
-    inv, info = pseudo_inverse(band_mask(t_matrix(psi_axes, omega_axes),
-                                         band), rtol)
+    inverse's info.  T = Psi Omega is P x Q times Q x P, so its rank is
+    at most Q, but the band mask gives R o M full rank P: when P > Q the
+    inverse keeps at most Q singular values (`capped_pinv`).  The cap
+    follows from that bound, not from a gap in the spectrum: sigma_Q /
+    sigma_(Q+1) is only 1.01-1.02 on noisy-grid's and the asterisk's
+    masked systems.  There the inverse comes as W U^T, P x Q factors,
+    and F = (G W) U^T; otherwise as the P x P `pseudo_inverse`.  Either
+    lives only inside this call, and so does R o M."""
+    def system():
+        return band_mask(t_matrix(psi_axes, omega_axes), band)
+
+    cap = int(np.prod([len(g) for g in omega_axes]))
+    if omega_axes[0].shape[1] > cap:
+        w, u, info = capped_pinv(system, cap, rtol)
+        return _omega_times(omega_axes, w) @ u.T, info
+    inv, info = pseudo_inverse(system(), rtol)
+    return _omega_times(omega_axes, inv), info
+
+
+def _omega_times(omega_axes, x: np.ndarray) -> np.ndarray:
+    """G x for a P-row `x`, without the dense G.  In 2D it is formed one
+    first-axis mode m_1 at a time: its rows are (G_1[m_1] o G_2) x, and
+    both factors are restricted to the span of points where G_1[m_1] is
+    nonzero, which truncation keeps short when the points are ordered
+    along axis 1."""
     if len(omega_axes) == 1:
-        return omega_axes[0] @ inv, info
+        return omega_axes[0] @ x
     g1, g2 = omega_axes
-    out = np.empty((len(g1) * len(g2), inv.shape[1]))
+    out = np.empty((len(g1) * len(g2), x.shape[1]))
     for row, block in zip(g1, out.reshape(len(g1), len(g2), -1)):
         nz = np.flatnonzero(row)
         span = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
-        np.matmul(g2[:, span] * row[span], inv[span], out=block)
-    return out, info
+        np.matmul(g2[:, span] * row[span], x[span], out=block)
+    return out
 
 
 def _diagonal_phases(raster: Raster, modes) -> tuple:

@@ -164,6 +164,21 @@ def admissibility_slope(window, n_extent: int, nodes: int = 768) -> float:
     return float(np.polyfit(xv, yv, 1)[0])
 
 
+def cut_sensitivity(system, rank: int) -> float:
+    """Relative accuracy to which a truncated inverse keeping the `rank`
+    largest singular values of `system` is determined by its entries:
+    eps sigma_1^2 / (sigma_k^2 - sigma_(k+1)^2), with k = `rank`, the
+    subspace perturbation bound for a rounding error of eps sigma_1^2 in
+    the Gram matrix.  Zero when nothing is cut; large where the cut
+    splits near-equal values, as on grids with exact symmetries (a 5 x 5
+    grid's masked T has pairs that agree to 1e-8)."""
+    s = np.linalg.svd(system, compute_uv=False)
+    if rank >= len(s):
+        return 0.0
+    gap = s[rank - 1] ** 2 - s[rank] ** 2
+    return float(np.finfo(float).eps * s[0] ** 2 / gap) if gap else np.inf
+
+
 def _negated_pairs(raster):
     """Index pairs (i, j) with point j = -(point i), where both exist."""
     pts = raster.points.reshape(len(raster), -1)

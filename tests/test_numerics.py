@@ -2,10 +2,11 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -169,39 +170,6 @@ def test_pinv_rank_deficient_tall_never_gram(key):
     for sym in (a @ p, p @ a):
         assert np.linalg.norm(sym.T - sym) < 1e-10 * np.linalg.norm(sym)
 
-@settings(max_examples=60, deadline=None)
-@given(kept=st.integers(8, 48), log_kappa=st.floats(0.0, 6.0),
-       log_gap=st.floats(3.0, 12.0), log_scale=st.floats(-3.0, 3.0),
-       dropped=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-# dropped values 1.6e-14, 3.1e-17 and 2.2e-14 of the largest: the
-# residual stays above its gate through every deflation step, and the
-# SVD runs, as `pseudo_inverse` allows
-@example(kept=25, log_kappa=3.0, log_gap=3.0, log_scale=3.0, dropped=3,
-         seed=25)
-def test_pinv_deflated_matches_svd_oracle(kept, log_kappa, log_gap,
-                                          log_scale, dropped, seed):
-    # a few singular values at least 1e3 below the kept ones and below
-    # the threshold: whichever exit runs matches the truncated SVD, and
-    # it is the deflated LU while the dropped values lie within a decade
-    # of each other and at least 1e-15 of the largest (none of 4,326 such
-    # draws took the SVD; 1 of 7,000 draws made as here did)
-    assume(dropped <= kept // 7)                        # 8 * dropped <= n
-    rng = np.random.default_rng(seed)
-    n = kept + dropped
-    s = np.logspace(0.0, -log_kappa, kept)
-    tail = s[-1] * min(10.0 ** -log_gap, 1e-10) * rng.uniform(0.0, 1.0, dropped)
-    regime = tail.max() <= 10.0 * tail.min() and tail.min() >= 1e-15 * s[0]
-    s = 10.0 ** log_scale * np.concatenate([s, tail])
-    a = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).conj().T
-    p, info = pseudo_inverse(a)
-    oracle, oinfo = _svd_pinv(a, default_rtol(a.shape))
-    kappa = 10.0 ** log_kappa
-    if regime:
-        assert info.factorization == "deflated-lu"
-    assert info.rank == oinfo.rank == kept
-    assert np.linalg.norm(p - oracle) <= 1e-9 * kappa * np.linalg.norm(oracle)
-    _assert_brackets(info, oinfo)
-
 
 def _assert_brackets(info, oinfo):
     """The reported extremes bound the exact ones (to rounding)."""
@@ -216,7 +184,7 @@ def test_pinv_drops_values_without_values_only_svd(kept, gap, log_scale,
                                                    data):
     # 1 <= d <= n/8 values below the threshold, far below the kept ones
     # or just under the threshold while the kept ones reach down to twice
-    # it; whichever path runs must match the truncated SVD
+    # it: no certificate holds, and the truncated SVD runs with vectors
     dropped = data.draw(st.integers(1, kept // 7))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -238,8 +206,8 @@ def test_pinv_drops_values_without_values_only_svd(kept, gap, log_scale,
 
 
 def test_pinv_many_dropped_values_take_svd():
-    # n = 40 iterates on b = 6 columns; ten dropped values fill the block,
-    # so the truncated SVD decides, and no values-only SVD runs first
+    # ten dropped values: the truncated SVD decides, and no values-only
+    # SVD runs first
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(8)))
     s = np.concatenate([np.logspace(0.0, -3.0, 30), np.full(10, 1e-13)])
     a = (_orthonormal(rng, 40, 40) * s) @ _orthonormal(rng, 40, 40).conj().T
@@ -248,40 +216,10 @@ def test_pinv_many_dropped_values_take_svd():
     assert info.factorization == "svd" and info.rank == 30
 
 
-def test_trailing_subspaces_checks_drops_on_a():
-    # a bogus inverse that claims a huge singular value along e_0: the
-    # Ritz values count it as dropped, but a itself does not drop it
-    n = 16
-    x = np.eye(n)
-    x[0, 0] = 1e12
-    assert numerics._trailing_subspaces(np.eye(n), x, 1e-9, 1.0) is None
-    # the true inverse of a matrix that does drop it passes
-    a = np.eye(n)
-    a[0, 0] = 1e-12
-    v, u, err = numerics._trailing_subspaces(a, x, 1e-9, 1.0)
-    assert v.shape == u.shape == (n, 1) and err <= 1e-13
-    assert abs(abs(v[0, 0]) - 1.0) < 1e-12 and abs(abs(u[0, 0]) - 1.0) < 1e-12
-
-
-def test_pinv_deflated_takes_no_full_svd(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("full SVD taken")
-
-    monkeypatch.setattr(numerics, "_svd_pinv", fail)
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(6)))
-    # real, one value far below the threshold: the result stays real
-    s = np.concatenate([np.logspace(0.0, -3.0, 39), [1e-14]])
-    a = (np.linalg.qr(rng.normal(size=(40, 40)))[0] * s) @ \
-        np.linalg.qr(rng.normal(size=(40, 40)))[0].T
-    with no_values_only_svd():
-        p, info = pseudo_inverse(a)
-    assert p.dtype == np.float64 and info.rank == 39
-
-
 def test_pinv_uncertified_full_rank_takes_svd():
     # full rank with kappa_2 = 1e8, so kappa_2 * rtol = 0.4 < 1, but the
     # 1-inf bound on kappa exceeds 1/rtol: no exit certifies the LU
-    # inverse, the iteration finds no dropped value and the SVD decides
+    # inverse, and the SVD decides
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(6)))
     b = (_orthonormal(rng, 40, 40) * np.logspace(0.0, -8.0, 40)) @ \
         _orthonormal(rng, 40, 40).conj().T
@@ -298,7 +236,7 @@ def test_pinv_uncertified_full_rank_takes_svd():
                                   [1e160, 1.0]])
 def test_pinv_non_finite_bound_takes_svd(diag):
     # finite LU inverses whose 1-inf bounds (or their product) overflow:
-    # no certificate, no overflowing subspace iteration, and no warning
+    # no certificate, and no warning
     for n in (2, 40):
         a = np.diag(np.r_[diag, np.ones(n - 2)])
         with warnings.catch_warnings():
@@ -309,22 +247,97 @@ def test_pinv_non_finite_bound_takes_svd(diag):
         np.testing.assert_array_equal(p, oracle)
 
 
-def test_pinv_uncertifiable_kept_value_skips_deflation(monkeypatch):
-    # one value far below the threshold is dropped, but the smallest kept
-    # one lies just above it: the next Ritz value shows the deflated
-    # inverse could not be certified, so the SVD runs without it
-    def fail(*args, **kwargs):
-        raise AssertionError("deflated inverse built")
+def _real_orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
-    monkeypatch.setattr(numerics, "_deflated_pinv", fail)
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(7)))
-    rtol = default_rtol((40, 40))
-    s = np.concatenate([np.logspace(0.0, np.log10(1.01 * rtol), 39), [1e-14]])
-    a = (_orthonormal(rng, 40, 40) * s) @ _orthonormal(rng, 40, 40).conj().T
-    p, info = pseudo_inverse(a)
-    oracle, oinfo = _svd_pinv(a, rtol)
-    assert info.factorization == "svd" and info.rank == oinfo.rank == 39
-    assert np.linalg.norm(p - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 48), data=st.data(), log_kappa=st.floats(0.0, 6.0),
+       log_gap=st.floats(0.0, 3.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_capped_pinv_matches_capped_svd_oracle(n, data, log_kappa, log_gap,
+                                               log_scale, seed):
+    # a real n x n matrix with `cap` values kept at kappa <= 1e6 and the
+    # rest at least 10**log_gap >= 1 below them: the factors equal the
+    # truncated SVD's capped at `cap`, whichever exit runs, and the top
+    # eigenpairs of A^T A are kept up to kappa 10 (the gate bounds their
+    # kappa^2 error)
+    cap = data.draw(st.integers(1, n - 1), label="cap")
+    rng = np.random.default_rng(seed)
+    kept = np.logspace(0.0, -log_kappa, cap)
+    tail = kept[-1] * 10.0 ** -log_gap * rng.uniform(0.0, 1.0, n - cap)
+    s = 10.0 ** log_scale * np.concatenate([kept, tail])
+    a = (_real_orthogonal(rng, n) * s) @ _real_orthogonal(rng, n).T
+    formed = []
+
+    def form():
+        formed.append(1)
+        return a.copy()
+
+    w, u, info = numerics.capped_pinv(form, cap)
+    rtol = default_rtol(a.shape)
+    oracle, oinfo = _svd_pinv(a, rtol, cap)
+    assert info.rank == oinfo.rank == min(cap, np.count_nonzero(
+        s > rtol * s[0]))
+    assert info.rtol == rtol and w.shape == u.shape == (n, info.rank)
+    if log_kappa <= 1.0:
+        assert info.factorization == "capped" and len(formed) == 2
+    if info.factorization == "capped":
+        # exact extremes, as the SVD's, to the rounding of sigma^2
+        np.testing.assert_allclose([info.sigma_max, info.sigma_min_kept],
+                                   [oinfo.sigma_max, oinfo.sigma_min_kept],
+                                   rtol=1e-9)
+    else:
+        assert info == oinfo
+    assert np.linalg.norm(w @ u.T - oracle) <= \
+        1e-9 * 10.0 ** log_kappa * np.linalg.norm(oracle)
+
+
+def test_capped_pinv_threshold_below_cap_takes_svd():
+    # only 3 of 8 values clear rtol, fewer than the cap of 5: the
+    # truncated SVD decides, at rank 3
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(3)))
+    s = np.r_[1.0, 0.5, 0.25, np.full(5, 1e-12)]
+    a = (_real_orthogonal(rng, 8) * s) @ _real_orthogonal(rng, 8).T
+    w, u, info = numerics.capped_pinv(lambda: a, 5, 1e-6)
+    oracle, oinfo = _svd_pinv(a, 1e-6, 5)
+    assert info == oinfo and info.factorization == "svd" and info.rank == 3
+    np.testing.assert_array_equal(w @ u.conj().T, oracle)
+
+
+def test_capped_pinv_holds_no_system_during_eigh(monkeypatch):
+    # X is formed again for U = X W rather than held while eigh runs, so
+    # at most the Gram matrix and eigh's own arrays are alive then
+    alive = []
+    eigh = np.linalg.eigh
+
+    def checked(h):
+        assert all(ref() is None for ref in alive), "X held during eigh"
+        return eigh(h)
+
+    def form():
+        x = np.diag(np.arange(6.0, 0.0, -1.0))
+        alive.append(weakref.ref(x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "eigh", checked)
+    w, u, info = numerics.capped_pinv(form, 4)
+    assert info.factorization == "capped" and len(alive) == 2
+    np.testing.assert_allclose(w @ u.T, np.diag([1 / 6, 1 / 5, 1 / 4, 1 / 3,
+                                                  0.0, 0.0]), atol=1e-15)
+
+
+def test_capped_pinv_zero_matrix():
+    with pytest.raises(NumericalError):
+        numerics.capped_pinv(lambda: np.zeros((3, 3)), 2)
+
+
+def test_svd_pinv_cap():
+    p, info = _svd_pinv(np.diag([3.0, 2.0, 1.0]), 1e-10, cap=2)
+    np.testing.assert_allclose(p, np.diag([1 / 3, 1 / 2, 0.0]), atol=1e-16)
+    assert (info.rank, info.sigma_min_kept) == (2, 2.0)
+    # a cap above the rtol rank does not bind
+    assert _svd_pinv(np.diag([1.0, 1e-12]), 1e-6, cap=2)[1].rank == 1
 
 
 def test_pinv_records_applied_rtol():
@@ -341,7 +354,7 @@ def test_svd_failure_is_numerical_error(monkeypatch):
     # a wide matrix goes straight to the truncated SVD ...
     with pytest.raises(NumericalError, match="did not converge"):
         pseudo_inverse(np.ones((2, 5)))
-    # ... an uncertified square one first to its Ritz values
+    # ... and so does an uncertified square one
     with pytest.raises(NumericalError, match="did not converge"):
         pseudo_inverse(np.diag(np.r_[np.ones(15), 1e-12]))
     with pytest.raises(NumericalError):

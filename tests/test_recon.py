@@ -16,7 +16,7 @@ from gridfr import (ConfigError, analytic_coeffs, asterisk,
                     paper_test_scene, reconstruct,
                     reference_image, scene_image, sine_scene, synthesize,
                     trig_poly_scene, windowed_coefficients)
-from gridfr import recon
+from gridfr import numerics, recon
 from gridfr.recon import t_matrix
 from gridfr.harness import preset_config, raster_from_config
 from gridfr.numerics import _svd_pinv, band_mask
@@ -25,9 +25,9 @@ from gridfr.sampling import SampleSet
 from gridfr.window import window_coefficient, window_values
 
 from oracles import (_phased, _phased_omega, _recip_window_transform,
-                     admissibility_slope, dense_omega, dense_psi,
-                     no_values_only_svd, plan_omega, plan_psi, plan_t,
-                     psi_entry_quad, rephased)
+                     admissibility_slope, cut_sensitivity, dense_omega,
+                     dense_psi, no_values_only_svd, plan_omega, plan_psi,
+                     plan_t, psi_entry_quad, rephased)
 
 
 def uniform_raster(n):
@@ -500,20 +500,27 @@ def _preset_plan(name, seed, methods):
                       rtol=cfg.rtol)
 
 
+def _mode_count(plan) -> int:
+    """Q, the size of the plan's mode box and the cap on ftcg's rank."""
+    return int(np.prod([2 * m + 1 for m in plan.modes]))
+
+
 @pytest.mark.parametrize("name, seed, methods, paths", [
-    ("noisy-grid", 101, ("frame", "ftcg"), {"psi_pinv": "gram", "c_pinv": "lu"}),
-    ("noisy-grid", 102, ("ftcg",), {"c_pinv": "deflated-lu"}),
+    ("noisy-grid", 101, ("frame", "ftcg"),
+     {"psi_pinv": "gram", "c_pinv": "capped"}),
+    ("noisy-grid", 102, ("ftcg",), {"c_pinv": "capped"}),
     ("sas-wedge", 101, ("frame", "ftcg"), {"psi_pinv": "svd", "c_pinv": "lu"}),
-    ("asterisk", 101, ("frame", "ftcg"), {"psi_pinv": "svd", "c_pinv": "svd"}),
+    ("asterisk", 101, ("frame", "ftcg"),
+     {"psi_pinv": "svd", "c_pinv": "capped"}),
 ])
 def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
-    # certified full-rank systems take LU (square) or Gram (tall); seed
-    # 102's T drops one value far below the rest and is deflated;
-    # sas-wedge's Psi drops more values than the subspace iteration's
-    # block holds, asterisk's T keeps a value too close to the threshold
-    # to certify, and asterisk's tall Psi has a Gram residual (4.1e-8)
-    # above the gate, so all three take the SVD.  None of them computes
-    # singular values alone.
+    # certified full-rank systems take LU (square) or Gram (tall); the
+    # masked T of noisy-grid (P = 900 > Q = 841) and of the asterisk
+    # (221 > 121) keeps Q values, through the top eigenpairs of its Gram
+    # matrix; sas-wedge's Psi drops values and the asterisk's tall Psi
+    # has a Gram residual (4.1e-8) above the gate, so both take the SVD.
+    # None of them computes singular values alone.  The oracle is the
+    # truncated SVD, capped at Q for the masked T.
     with no_values_only_svd():
         plan = _preset_plan(name, seed, methods)
     d, e = plan.phases
@@ -521,12 +528,13 @@ def test_preset_pinv_paths_match_svd_oracle(name, seed, methods, paths):
         # the plan holds A^+ and F = G (R o M)^+: E A^+ D^H = Psi^+, and
         # E F D^H = Omega (T o M)^+ as T o M = D (R o M) D^H
         if key == "psi_pinv":
-            got, system = plan.bmat, plan_psi(plan)
+            got, system, cap = plan.bmat, plan_psi(plan), None
         else:
             got, system = plan.cmat, band_mask(plan_t(plan), plan.band)
+            cap = _mode_count(plan)
         info = plan.meta[key]
         assert info.factorization == kind
-        oracle, oinfo = _svd_pinv(system, info.rtol)
+        oracle, oinfo = _svd_pinv(system, info.rtol, cap)
         assert info.rank == oinfo.rank
         got = rephased(got, e, d.conj())
         if key == "c_pinv":
@@ -559,10 +567,80 @@ def test_ftcg_operator_matches_unfused_form(dim, extents, data, jitter, seed):
     f = rng.normal(size=p) + 1j * rng.normal(size=p)
     got = coefficients(plan, SampleSet(plan.raster_ref, f), "ftcg")
     d, e = plan.phases
-    inv, _ = _svd_pinv(band_mask(t_matrix(plan.psi_axes, plan.omega_axes),
-                                 band), plan.meta["c_pinv"].rtol)
+    system = band_mask(t_matrix(plan.psi_axes, plan.omega_axes), band)
+    inv, info = _svd_pinv(system, plan.meta["c_pinv"].rtol, _mode_count(plan))
     want = e * (dense_omega(plan.omega_axes) @ (inv @ (d.conj() * f)))
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # where the cap splits near-equal singular values (grids without
+    # jitter), the truncated inverse itself is fixed only to rounding
+    # over their gap
+    tol = 1e-10 + 100 * cut_sensitivity(system, info.rank)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def _capped_oracle(plan):
+    """G times the truncated SVD of the plan's masked R capped at Q, its
+    info, and the `cut_sensitivity` of that truncation."""
+    system = band_mask(t_matrix(plan.psi_axes, plan.omega_axes), plan.band)
+    inv, info = _svd_pinv(system, plan.meta["c_pinv"].rtol, _mode_count(plan))
+    return (dense_omega(plan.omega_axes) @ inv, info,
+            cut_sensitivity(system, info.rank))
+
+
+@pytest.mark.parametrize("dim, extents", [(1, (4, 8, 12, 16)), (2, (2, 3, 4))])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), jitter=st.floats(0.0, 0.25),
+       seed=st.integers(0, 2**32 - 1))
+def test_ftcg_rank_capped_at_mode_count(dim, extents, data, jitter, seed):
+    # T = Psi Omega is P x Q times Q x P, so it has rank at most Q; the
+    # masked system keeps at most Q singular values whenever P > Q, and
+    # F is G times the truncated SVD capped at Q, at the default rtol
+    n = data.draw(st.sampled_from(extents))
+    raster = jittered_grid((n,) * dim, jitter, seed)
+    p = len(raster)
+    band = data.draw(st.one_of(st.just(p), st.integers(1, p)))
+    plan = build_plan(raster, gaussian_window(0.125 if dim == 1 else 0.2,
+                                              1e-12, dim=dim),
+                      data.draw(st.integers(1, n - 1)), ("ftcg",), band=band)
+    q = _mode_count(plan)
+    assert p > q
+    want, oinfo, cut = _capped_oracle(plan)
+    info = plan.meta["c_pinv"]
+    assert info.rank == oinfo.rank <= q
+    tol = 1e-10 * max(1.0, info.kappa / 1e5) + 100 * cut
+    assert np.linalg.norm(plan.cmat - want) <= tol * np.linalg.norm(want)
+
+
+def test_ftcg_capped_on_replayed_draw():
+    # dim 1, extent 16, jitter 0, seed 0, band 2, mode box 8: P = 33 >
+    # Q = 17.  Its masked R has kappa 2.1e5 at rank 29 under rtol alone,
+    # where an inverse that kept 29 values missed the SVD's by 4.4e-10;
+    # capped at 17 it keeps kappa 69 and takes the eigenpairs of R^T R
+    # (1.1e-11 from the oracle, with sigma_17 / sigma_18 = 1.02)
+    plan = build_plan(jittered_grid(16, 0.0, 0), gaussian_window(0.125, 1e-12),
+                      8, ("ftcg",), band=2, rtol=1e-6)
+    info = plan.meta["c_pinv"]
+    assert (len(plan.raster), _mode_count(plan)) == (33, 17)
+    assert info.factorization == "capped" and info.rank == 17
+    want, oinfo, _ = _capped_oracle(plan)
+    assert oinfo.rank == 17
+    assert np.linalg.norm(plan.cmat - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("preset", ["asterisk", "noisy-grid"])
+def test_ftcg_capped_gate_falls_back_to_svd(monkeypatch, preset):
+    # with the orthonormality gate shut, the capped exit is refused and
+    # the truncated SVD capped at Q builds the same operator
+    plan = _preset_plan(preset, 101, ("ftcg",))
+    monkeypatch.setattr(numerics, "_GRAM_RESIDUAL", -1.0)
+    fallback = _preset_plan(preset, 101, ("ftcg",))
+    info, svd = plan.meta["c_pinv"], fallback.meta["c_pinv"]
+    assert (info.factorization, svd.factorization) == ("capped", "svd")
+    assert info.rank == svd.rank == _mode_count(plan)
+    np.testing.assert_allclose([info.sigma_max, info.sigma_min_kept],
+                               [svd.sigma_max, svd.sigma_min_kept],
+                               rtol=1e-12)
+    assert np.linalg.norm(plan.cmat - fallback.cmat) <= \
+        1e-11 * np.linalg.norm(fallback.cmat)
 
 
 @pytest.mark.parametrize("modes, sort", [((9, 3), True), ((2, 2), False)],
