@@ -5,17 +5,19 @@ Matrices are plain numpy arrays, real or complex (the plans hand over
 real ones; see `recon.ReconPlan`), and every factorization is one of
 numpy's LAPACK bindings (LU, SVD and the symmetric eigensolver).  A
 pseudo-inverse treats singular values below ``rtol * sigma_max`` as zero
-(by default ``rtol = 1e-10 * max(rows, cols)``) and has four exits: LU,
-the inverse of a square matrix, when its 1-inf norm bounds certify that
-no singular value falls below the threshold; Gram, the solution X of
-(A^H A) X = A^H for a tall matrix, when its left-inverse residual
-X A - I is at rounding level and the same bounds certify it; capped,
-for a square real matrix that keeps at most `cap` singular values
-(`capped_pinv`), the top eigenpairs of its Gram matrix, when the left
-factor they give is orthonormal to rounding; and otherwise SVD, the
-truncated SVD, the only exit that computes all singular values.  Every
-exit reports its retained rank and condition number (an upper bound
-after LU and Gram) so ill-conditioning is visible instead of silent.
+(by default ``rtol = 1e-10 * max(rows, cols)``).  `pseudo_inverse` has
+three exits: LU, the inverse of a square matrix, when its 1-inf norm
+bounds certify that no singular value falls below the threshold; Gram,
+the solution X of (A^H A) X = A^H for a tall matrix, when its
+left-inverse residual X A - I is at rounding level and the same bounds
+certify it; and otherwise SVD, the truncated SVD, the only exit that
+computes all singular values.  `capped_pinv` is a separate solve for a
+square real matrix that keeps at most `cap` singular values: the top
+eigenpairs of its Gram matrix, when the left factor they give is
+orthonormal to rounding, and otherwise its own truncated SVD capped at
+`cap`.  Every solve reports its retained rank and condition number (an
+upper bound after LU and Gram) so ill-conditioning is visible instead of
+silent.
 `save_magnitude_csv` picks the band's entries for `raster.write_rows`,
 which formats the file.
 """

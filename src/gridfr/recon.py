@@ -40,11 +40,12 @@ F is formed one first-axis mode at a time (`_ftcg_operator`), cg's
 `_apply_omega` applies G one axis at a time, and `t_matrix` forms
 R = (A_1 G_1) o (A_2 G_2) entrywise.  Only F depends on the band, so
 `with_band` derives a plan at another band from one already built.
-The inverses come from `numerics`, whose docstring describes the four
-exits: LU for a square system, Gram (the solve with A^H A) for a tall
-one, the capped exit for the masked T when P > Q, and the truncated
-SVD.  T = Psi Omega has rank at most Q, so ftcg keeps at most Q singular
-values of R o M (`_ftcg_operator`).  The phases change no singular
+The inverses come from `numerics`: `pseudo_inverse`, whose three exits
+are LU for a square system, Gram (the solve with A^H A) for a tall one
+and the truncated SVD, and for the masked T when P > Q `capped_pinv`, a
+separate solve by the top eigenpairs of its Gram matrix with its own
+capped SVD fallback.  T = Psi Omega has rank at most Q, so ftcg keeps at
+most Q singular values of R o M (`_ftcg_operator`).  The phases change no singular
 value, so `meta["psi_pinv"]` and `meta["c_pinv"]` hold Psi's and the
 masked T's ranks and singular values (bounds after LU and Gram) and
 name the factorization that ran.

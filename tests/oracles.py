@@ -164,17 +164,26 @@ def admissibility_slope(window, n_extent: int, nodes: int = 768) -> float:
     return float(np.polyfit(xv, yv, 1)[0])
 
 
-def cut_sensitivity(system, rank: int) -> float:
-    """Relative accuracy to which a truncated inverse keeping the `rank`
-    largest singular values of `system` is determined by its entries:
-    eps sigma_1^2 / (sigma_k^2 - sigma_(k+1)^2), with k = `rank`, the
-    subspace perturbation bound for a rounding error of eps sigma_1^2 in
-    the Gram matrix.  Zero when nothing is cut; large where the cut
-    splits near-equal values, as on grids with exact symmetries (a 5 x 5
-    grid's masked T has pairs that agree to 1e-8)."""
-    s = np.linalg.svd(system, compute_uv=False)
-    if rank >= len(s):
+# Draws whose rank cap splits singular values closer than this are left
+# out of the oracle comparisons: there the truncated inverse is fixed only
+# to about twice `cut_sensitivity` (1,200 random draws), and below it the
+# comparisons keep the bounds they have where no cap binds
+MAX_CUT = 1e-11
+
+
+def cut_sensitivity(system, rank: int, cap: int) -> float:
+    """Relative accuracy to which the truncated inverse of `system` that
+    keeps its `rank` largest singular values is determined by its entries,
+    where the cap binds: eps sigma_1^2 / (sigma_k^2 - sigma_(k+1)^2), with
+    k = `rank` = `cap` < rows, the subspace perturbation bound for a
+    rounding error of eps sigma_1^2 in the Gram matrix; inf if the two
+    values are equal.  Zero when the cap does not bind, since a cut that
+    rtol makes is covered by the kept condition number.  Large where the
+    cap splits near-equal values, as on grids with exact symmetries (a
+    5 x 5 grid's masked T has pairs that agree to 1e-8)."""
+    if rank != cap or cap >= len(system):
         return 0.0
+    s = np.linalg.svd(system, compute_uv=False)
     gap = s[rank - 1] ** 2 - s[rank] ** 2
     return float(np.finfo(float).eps * s[0] ** 2 / gap) if gap else np.inf
 
