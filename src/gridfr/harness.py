@@ -25,10 +25,10 @@ difference and one reduction per metric.
 
 Plan reuse: `run_preset` and `run_sweep` each keep one store for the
 runs of a call, holding at most one value of each kind: the raster, its
-samples, the plan, the reference image, the scene image, reference.csv's
-text and the last run.  A value is released before its replacement is
-made, and the store is dropped when the call returns.  A run reuses the
-held raster when its raster spec and seed are the previous run's, and
+samples, the plan, the reference image, the scene image and the last
+run.  A value is released before its replacement is made, and the
+store is dropped when the call returns.  A run reuses the held
+raster when its raster spec and seed are the previous run's, and
 the held samples when its raster, scene, SNR and seed are.  A plan is
 built only when a run's raster or build arguments differ from the
 previous run's; otherwise the run reuses that plan, which holds no
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import io
 import json
 import math
 import numbers
@@ -440,10 +439,10 @@ class _Run(NamedTuple):
 
 class _Store:
     """What the runs of one `run_preset` or `run_sweep` call share: the
-    raster, its samples, the plan, the reference and scene images,
-    reference.csv's text and the last run.  Holds at most one value of
-    each kind, with the key it was made for, and releases a value before
-    it makes the next, or once the next is derived from it."""
+    raster, its samples, the plan, the reference and scene images and
+    the last run.  Holds at most one value of each kind, with the key it
+    was made for, and releases a value before it makes the next, or once
+    the next is derived from it."""
 
     def __init__(self):
         self._held = {}
@@ -506,9 +505,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     # after it, they raised the presets benchmark's peak RSS by 11 MB.
     modes = _axis_modes(rast, config.modes)
     grid = _axis_sizes(config.grid_size, config.dim, "grid_size")
-    ref_key = (config.scene, config.dim, window, modes, grid)
-    reference = store.get("reference", ref_key, lambda: reference_image(
-        scene, window, modes, grid))
+    reference = store.get("reference",
+                          (config.scene, config.dim, window, modes, grid),
+                          lambda: reference_image(scene, window, modes, grid))
     scn_img = store.get("scene", (config.scene, config.dim, grid),
                         lambda: scene_image(scene, grid, config.dim))
     reused = store.find("plan", key) is not None
@@ -556,21 +555,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     artifacts = None
     if out_dir is not None:
-        ref_csv = store.get("reference.csv", ref_key,
-                            lambda: _csv_text(reference))
         artifacts = _write_artifacts(out_dir, config, rast, samples, plan,
-                                     reference, ref_csv, scn_img, images,
-                                     reports)
+                                     reference, scn_img, images, reports)
         _write_run_record(out_dir, config, plan, reports)
     store.put("run", run_key, _Run(reports, out_dir, artifacts))
     return reports
-
-
-def _csv_text(img: ImageGrid) -> str:
-    """`save_image_csv`'s text for `img`."""
-    buf = io.StringIO()
-    save_image_csv(img, buf)
-    return buf.getvalue()
 
 
 def _fmt(v):
@@ -587,7 +576,7 @@ METRIC_COLUMNS = ("method", "psnr_db", "psnr_vs_scene_db", "l2_rel",
 
 
 def _write_artifacts(out_dir, config, rast, samples, plan, reference,
-                     reference_csv, scn_img, images, reports) -> tuple:
+                     scn_img, images, reports) -> tuple:
     """Writes every artifact but the run record (`_write_run_record`);
     returns their file names."""
     os.makedirs(out_dir, exist_ok=True)
@@ -599,8 +588,7 @@ def _write_artifacts(out_dir, config, rast, samples, plan, reference,
 
     save_raster(rast, join("raster.csv"))
     save_samples(samples, rast, join("samples.csv"))
-    with open(join("reference.csv"), "w") as fh:
-        fh.write(reference_csv)
+    save_image_csv(reference, join("reference.csv"))
     peak = reference.peak
     save_pgm(reference.values, join("reference.pgm"), peak=peak)
     save_pgm(scn_img.values, join("scene.pgm"), peak=peak)

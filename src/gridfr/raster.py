@@ -6,11 +6,17 @@ based Philox generator seeded with a 64-bit key.
 
 File formats.  Each gridfr CSV file starts with a ``# gridfr-<kind> v1``
 line of ``key=value`` fields, then holds one row of comma-separated
-numbers per line; floats have 17 significant digits, so they read back
-bit for bit.  `write_rows` writes all four kinds (for `save_raster`,
-`sampling.save_samples`, `recon.save_image_csv` and
+numbers per line; floats have 17 significant digits (``%.17g``), so they
+read back bit for bit.  `write_rows` writes all four kinds (for
+`save_raster`, `sampling.save_samples`, `recon.save_image_csv` and
 `numerics.save_magnitude_csv`); `read_rows` reads the first three and
-skips blank and ``#`` lines::
+skips blank and ``#`` lines.  The rows of the raster, samples and image
+files are float64 arrays, which a numpy kernel formats (`_g17_lines`):
+it writes the bytes of the ``"%.17g" % x`` row loop, and leaves to that
+loop each row with a value it cannot prove: one below 1e-280 or above
+1e281, one whose log10 rounds up across a power of ten, or one within
+1e-9 of a rounding tie at its 17th digit.  The tmatrix file's
+``%d,%d,%.8e`` rows take the row loop::
 
     # gridfr-raster v1, dim=<d>, kind=<k>, seed=<s|none>
     kx[,ky]                   one point per line
@@ -262,15 +268,160 @@ def write_rows(path, kind: str, fields: dict, rows, fmt: str = "%.17g") -> None:
     """Write `path` (or an open text stream) as a ``# gridfr-<kind> v1``
     file: `fields` as the header's ``key=value`` pairs, then a line
     ``fmt % tuple(row)`` per row of `rows`.  A `fmt` of one conversion
-    serves every column of a 2D array `rows`."""
+    serves every column of a 2D array `rows`.
+
+    With the default ``"%.17g"`` and `rows` a 2D float64 array, the
+    lines come from `_g17_lines`, a numpy kernel that writes the row
+    loop's bytes, in blocks of about `_G17_BLOCK` values, and formats a
+    row it cannot prove with the row loop; other formats and rows take
+    the row loop."""
+    kernel = (fmt == "%.17g" and isinstance(rows, np.ndarray)
+              and rows.dtype == np.float64 and rows.ndim == 2
+              and rows.shape[1] > 0)
     if fmt.count("%") == 1:
         fmt = ",".join([fmt] * np.shape(rows)[1])
     with (contextlib.nullcontext(path) if hasattr(path, "write")
           else open(path, "w")) as fh:
         fh.write(", ".join([f"# gridfr-{kind} v1"]
                            + [f"{k}={v}" for k, v in fields.items()]) + "\n")
-        for row in rows:
-            fh.write(fmt % tuple(row) + "\n")
+        if kernel:
+            step = max(1, _G17_BLOCK // rows.shape[1])
+            for i in range(0, len(rows), step):
+                fh.write(_g17_lines(rows[i:i + step], fmt))
+        else:
+            for row in rows:
+                fh.write(fmt % tuple(row) + "\n")
+
+
+# `_g17_lines` formats zero and 1e-280 <= |x| < 1e281, and leaves a row
+# to the row loop when one of its values has no exponent in that range or
+# has its scaled value within _G17_TIE of a rounding tie; the scaled
+# value is exact to within 5e-15, so no other tie can be missed
+_G17_LIMIT = 280
+_G17_BLOCK = 4096
+_G17_TIE = 1e-9
+_SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
+# a value's 48 byte slots: "-", then 21 digits "0000" d0..d16 with a "."
+# slot after each of the first 20, then "e", sign and three exponent
+# digits, then "," or a newline
+_G17_SLOTS = np.frombuffer(b"-" + b"0." * 20 + b"0e+000,", dtype=np.uint8)
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """The tables of `_g17_lines`, indexed by the decimal exponent X + L,
+    L = _G17_LIMIT: 10**(16 - X) as a double-double hi + lo with hi split
+    in two 26-bit halves; the ASCII bytes of "0000".."9999" as uint32;
+    X's sign and three digits; and which of the 48 slots `%g` keeps, for
+    X and each count of significant digits 0..17, in rows X * 18 + count.
+    """
+    ks = np.arange(-_G17_LIMIT, _G17_LIMIT + 1)
+    hi, lo = np.array([_double_double(16 - k) for k in ks.tolist()]).T
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    digits4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                            dtype=np.uint32)
+    exponent = np.frombuffer(b"".join(b"%+04d" % k for k in ks.tolist()),
+                             dtype=np.uint8).reshape(len(ks), 4)
+    # slot m of the digits "0000" d0..d16 holds the units digit when u = m:
+    # u = X + 4 in fixed notation (-4 <= X < 17), u = 4 (d0) otherwise.
+    # Kept: the integer digits from min(u, 4) to u, the fraction digits
+    # after u up to the last significant one, and a "." after u when a
+    # fraction digit is kept
+    k, count = ks[:, None, None], np.arange(18)[None, :, None]
+    m = np.arange(21)
+    fixed = (k >= -4) & (k < 17)
+    u = np.where(fixed, k + 4, 4)
+    keep = np.zeros((len(ks), 18, 48), dtype=bool)
+    keep[..., 1:42:2] = (((m >= np.minimum(u, 4)) & (m <= u))
+                         | ((m > u) & (m <= count + 3)))
+    keep[..., 2:41:2] = (m[:20] == u) & (count + 3 > u)
+    keep[..., 42:47] = ~fixed & np.array([True, True, False, True, True])
+    keep[..., 44:45] = np.abs(k) >= 100
+    keep[..., 47] = True
+    return (hi, hi_hi, hi - hi_hi, lo, digits4, exponent,
+            keep.reshape(-1, 48))
+
+
+def _double_double(e: int) -> tuple:
+    """10**e as hi + lo, each rounded to nearest (an int quotient is)."""
+    p, q = (10**e, 1) if e >= 0 else (1, 10**-e)
+    hi = p / q
+    num, den = hi.as_integer_ratio()
+    return hi, (p * den - num * q) / (q * den)
+
+
+def _g17_lines(rows: np.ndarray, fmt: str) -> str:
+    """``fmt % tuple(row) + "\\n"`` for every row of the 2D float64
+    `rows`, with `fmt` "%.17g" per column.
+
+    A value x = +-d0.d1..d16 10**X is formatted exactly: X is
+    floor(log10 |x|), y = |x| 10**(16 - X) is Dekker's product of |x|
+    and the double-double power of ten, exact as hi + lo to about
+    1e-15, and the digits are the integer nearest y, N.  Zeros print
+    as "0" and "-0".  The row loop formats a row instead when one of its
+    values is outside the tables (no X: subnormal, huge, inf or nan),
+    when y < 1e16 or N = 1e17 (log10 rounded across a power of ten: that
+    test is made on hi + lo, since 1e-06 and other doubles just below a
+    power of ten have N = 1e16), or when y is within _G17_TIE of a tie,
+    where rounding to even decides."""
+    pow_hi, pow_hi_hi, pow_hi_lo, pow_lo, digits4, exponent, keeps = \
+        _g17_tables()
+    x = rows.ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = np.abs(e) <= _G17_LIMIT            # false for 0, inf and nan
+    a = np.where(ok, a, 1.0)
+    e = np.where(ok, e, 0).astype(np.intp) + _G17_LIMIT
+    # y = a 10**(16 - X) = hi + lo: the exact product a * pow_hi (numpy
+    # has no fma) plus a * pow_lo
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo, b = pow_hi_hi[e], pow_hi_lo[e], pow_hi[e]
+    p = a * b
+    err = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+           + a * pow_lo[e])
+    hi = p + err
+    lo = err - (hi - p)
+    near = np.rint(lo)
+    n = hi.astype(np.int64) + near.astype(np.int64)
+    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    ok &= n < 10**17
+    ok &= np.abs(np.abs(lo - near) - 0.5) > _G17_TIE
+    n = np.where(ok, n, 0)
+    ok |= x == 0
+    q, r = np.divmod(n, 10**8)
+    groups = np.zeros((len(n), 6), dtype=np.intp)
+    groups[:, 1], q = np.divmod(q, 10**8)
+    groups[:, 2], groups[:, 3] = np.divmod(q, 10**4)
+    groups[:, 4], groups[:, 5] = np.divmod(r, 10**4)
+    digits = digits4[groups].view(np.uint8)[:, 3:]
+    out = np.empty((len(n), 48), dtype=np.uint8)
+    out[:] = _G17_SLOTS
+    out[:, 1:42:2] = digits
+    out[:, 43:47] = np.take(exponent, e, axis=0)
+    out.reshape(len(rows), -1)[:, -1] = ord("\n")
+    # significant digits: 17 less N's trailing zeros, and 1 for a zero
+    count = np.where(n == 0, 1,
+                     17 - np.argmax(digits[:, :3:-1] != ord("0"), axis=1))
+    keep = np.take(keeps, e * 18 + count, axis=0)
+    keep[:, 0] = np.signbit(x)
+    fallback = np.flatnonzero(~ok.reshape(rows.shape).all(axis=1))
+    keep.reshape(len(rows), -1)[fallback] = False
+    # compress, not out[keep], which took three times as long
+    text = np.compress(keep.ravel(), out).tobytes().decode("ascii")
+    if not len(fallback):
+        return text
+    # a fallback row keeps no byte, so it starts where the row before ends
+    ends = np.cumsum(keep.reshape(len(rows), -1).sum(axis=1))
+    parts, at = [], 0
+    for i in fallback:
+        parts += [text[at:ends[i]], fmt % tuple(rows[i]) + "\n"]
+        at = ends[i]
+    parts.append(text[at:])
+    return "".join(parts)
 
 
 def read_rows(path, kind: str, columns) -> tuple:

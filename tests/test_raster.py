@@ -291,6 +291,87 @@ def test_write_rows_read_rows_round_trip_bits(tmp_path, kind, fields, ncols,
     assert buf.getvalue() == path.read_text()
 
 
+
+def _row_loop(rows) -> str:
+    """`write_rows`'s lines for `rows` formatted one row at a time."""
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    return "".join(fmt % tuple(row) + "\n" for row in rows)
+
+
+def _written(rows) -> str:
+    """The lines under the header of `write_rows`'s file for `rows`."""
+    buf = io.StringIO()
+    write_rows(buf, "image", {}, rows)
+    return buf.getvalue().split("\n", 1)[1]
+
+
+def _ulps(values, span=4):
+    """Each of `values` and the `span` doubles either side of it."""
+    out = []
+    for v in values:
+        out.append(v)
+        up = down = v
+        for _ in range(span):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    return np.array(out).reshape(-1, 1)
+
+
+# every power of ten in 1e-30..1e30 and its neighbours, one value a row so
+# that no row is left to the row loop for another value's sake: the
+# doubles just below a power of ten, such as 1e-06 = 9.9999999999999995e-07,
+# scale to just below 1e16 and read "1e-06" if the scaled value is judged
+# by its rounded digits
+POWERS_OF_TEN = _ulps([s * 10.0**e for e in range(-30, 31) for s in (1, -1)])
+# either side of 1e-5, 1e-4, 1e16 and 1e17: %g switches from exponential
+# to fixed notation at 1e-4 and back at 1e17
+G_SWITCHES = np.array([s * c * m for c in (1e-5, 1e-4, 1e16, 1e17)
+                       for m in (0.5, 0.9999999999999999, 1.25,
+                                 1.2345678901234567, 3.0000000000000004)
+                       for s in (1, -1)]).reshape(-1, 1)
+# exact ties at the 17th digit, rounded to even, and 2**51 + 1/2
+TIES = np.array([[1000000000000000.25, 1000000000000000.75,
+                  2251799813685248.5]])
+# a row the kernel formats, then two the row loop formats: for a
+# subnormal, and for 1e300 and 1e-07
+MIXED = np.array([[0.1, -2.5, 3e-5], [7.0, 5e-324, -0.0], [1e300, 0.0, 1e-7]])
+
+
+def _bits(pattern):
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+    elements=st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.integers(0, 2**64 - 1).map(_bits).filter(np.isfinite),
+        st.floats(allow_nan=False, allow_infinity=False))))
+@example(rows=POWERS_OF_TEN)
+@example(rows=G_SWITCHES)
+@example(rows=TIES)
+@example(rows=MIXED)
+def test_write_rows_matches_row_loop(rows):
+    assert _written(rows) == _row_loop(rows)
+
+
+def test_write_rows_ties_round_to_even():
+    assert _written(TIES) == ("1000000000000000.2,1000000000000000.8,"
+                              "2251799813685248.5\n")
+
+
+def test_write_rows_blocks_match_row_loop():
+    # 23 columns, 178 rows to a block: four blocks, the last of 66 rows,
+    # with rows for the row loop in the first two
+    rng = np.random.default_rng(5)
+    rows = (rng.standard_normal((600, 23))
+            * 10.0 ** rng.integers(-30, 30, (600, 23)))
+    rows[[3, 200, 201], [0, 22, 7]] = 1e-6, 5e-324, 1e300
+    rows[400] = 0.0
+    assert _written(rows) == _row_loop(rows)
+
+
 def test_duplicate_points_rejected():
     from gridfr.raster import Raster
     with pytest.raises(ConfigError):
