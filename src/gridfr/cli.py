@@ -16,9 +16,9 @@ import os
 import sys
 
 from .errors import ConfigError, FormatError, NumericalError
-from .harness import (PRESET_SEEDS, PRESETS, RASTER_KEYS, ExperimentConfig,
-                      fourier_data, l2_relative, linf_error, psnr,
-                      raster_from_config, run_experiment, run_preset,
+from .harness import (PRESET_SEEDS, PRESETS, RASTER_KEYS, SWEEPS,
+                      ExperimentConfig, fourier_data, l2_relative, linf_error,
+                      psnr, raster_from_config, run_experiment, run_preset,
                       run_sweep, save_error_map, scene_from_config)
 from .raster import load_raster, save_raster
 from .recon import (METHODS, build_plan, load_image_csv, reconstruct,
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="raster-size or band sweep")
-    p.add_argument("--axis", choices=["N", "r"], default="N")
+    p.add_argument("--axis", choices=list(SWEEPS), default="N")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     return ap

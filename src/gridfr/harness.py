@@ -35,20 +35,19 @@ previous run's; otherwise the run reuses that plan, which holds no
 data.  When they differ only in the band, the plan is derived from the
 held one (`recon.with_band`): only ftcg's band stage runs, so Psi, its
 quadrature drift check, Omega and the phases are computed once per
-raster, and a drifting raster's quadrature warning is logged once.  The
-band sweep runs seed-major, each seed's bands one after another, so
-that its plans are derived; the size sweep runs size-major.  The
-seed-free asterisk and sas-wedge rasters build once per call,
-noisy-grid once per seed.  A seed that reused a plan writes
-``{"plan_reused": true}`` per method to its ``timings.json`` instead
-of build timings.  When a seed's config differs from the previous
-seed's only in the seed, and its Fourier data equal that seed's bit
-for bit (asterisk and sas-wedge without noise), it is not reconstructed
-again: it takes the previous seed's metrics and copies its artifacts
-byte for byte, writing only ``resolved_config.json`` and
-``timings.json`` anew.  Noisy data differ per seed, so noisy runs are
-always reconstructed.  Only the previous seed's reports and artifact
-directory are held for this.
+raster, and a drifting raster's quadrature warning is logged once.  A
+sweep runs seed-major, each seed's points one after another, so that a
+seed's band points derive their plans.  The seed-free asterisk and
+sas-wedge rasters build once per call, noisy-grid once per seed.  A
+seed that reused a plan writes ``{"plan_reused": true}`` per method to
+its ``timings.json`` instead of build timings.  When a seed's config
+differs from the previous seed's only in the seed, and its Fourier data
+equal that seed's bit for bit (asterisk and sas-wedge without noise),
+it is not reconstructed again: it takes the previous seed's metrics
+and copies its artifacts byte for byte, writing only
+``resolved_config.json`` and ``timings.json`` anew.  Noisy data differ
+per seed, so noisy runs are always reconstructed.  Only the previous
+seed's reports and artifact directory are held for this.
 
 Presets
 -------
@@ -56,8 +55,12 @@ noisy-grid   30x30 jittered grid (indices -15..14), 900-point flattened
              system, band 15 (r=8).
 asterisk     22 spokes x 5 radii = 221 points, band 23 (r=12).
 sas-wedge    25x25 side-scan wedge rescaled into [-12,12]^2, band 15.
-sweep-1d     1D raster-size sweep N in {8,16,32,64} at 30 dB SNR.
-rsweep-1d    1D band sweep r in {2,4,8,full} on a sine scene, N=16.
+
+Sweeps (`SWEEPS`, each on the seeds `SWEEP_SEEDS` unless given others)
+------
+N            1D raster-size sweep N in {8,16,32,64} at 30 dB SNR.
+r            1D band sweep r in {2,4,8,33} on a sine scene, N=16 (33 is
+             the full band 2N+1).
 """
 
 from __future__ import annotations
@@ -361,8 +364,6 @@ PRESET_SEEDS = {
     "noisy-grid": (101, 102, 103, 104, 105),
     "asterisk": (101, 102, 103, 104, 105),
     "sas-wedge": (101, 102, 103, 104, 105),
-    "sweep-1d": (11, 12, 13, 14, 15),
-    "rsweep-1d": (11, 12, 13, 14, 15),
 }
 
 
@@ -412,18 +413,21 @@ def sweep_config(n_extent: int, seed: int) -> ExperimentConfig:
         grid_size=1024, rtol=None, snr_db=30.0, seed=seed)
 
 
-def rsweep_config(band: Optional[int], seed: int) -> ExperimentConfig:
-    """1D band sweep point: sine scene, noiseless, N=16; None: full band."""
-    extent = 16
-    if band is None:
-        band = 2 * extent + 1
+def rsweep_config(band: int, seed: int) -> ExperimentConfig:
+    """1D band sweep point: sine scene, noiseless, N=16 (full band 33)."""
     return ExperimentConfig(
         name=f"rsweep-1d-r{band}", dim=1,
         scene={"kind": "sine"},
-        raster={"kind": "jittered_grid", "extents": extent, "jitter": 0.25},
+        raster={"kind": "jittered_grid", "extents": 16, "jitter": 0.25},
         window={"sigma": 0.125, "trunc_eps": 1e-12},
         modes=16, methods=("ftcg",), band=band,
         grid_size=1024, rtol=None, snr_db=math.inf, seed=seed)
+
+
+# per sweep axis: the maker of a config from (point, seed), and the points
+SWEEPS = {"N": (sweep_config, (8, 16, 32, 64)),
+          "r": (rsweep_config, (2, 4, 8, 33))}
+SWEEP_SEEDS = (11, 12, 13, 14, 15)
 
 
 # --------------------------------------------------------------------- runs
@@ -645,6 +649,8 @@ def run_preset(name: str, seeds=None, out_dir=None,
     """
     if seeds is None:
         seeds = PRESET_SEEDS[name] if name in PRESET_SEEDS else (0,)
+    if not seeds:
+        raise ConfigError(f"preset {name!r} needs at least one seed")
     store = _Store()
     per_seed = {}
     for seed in seeds:
@@ -663,42 +669,33 @@ def run_preset(name: str, seeds=None, out_dir=None,
     return {"per_seed": per_seed, "median": median}
 
 
-SWEEP_N_VALUES = (8, 16, 32, 64)
-RSWEEP_BANDS = (2, 4, 8, None)     # None = full band (2N+1)
-
-
 def run_sweep(axis: str = "N", seeds=None, out_path=None) -> dict:
-    """Median l2 error (vs the true scene) over a raster-size or band sweep.
+    """Median l2 error (vs the true scene) over the sweep `SWEEPS[axis]`.
 
-    axis="N": methods x sizes table over N in {8,16,32,64}.
-    axis="r": FTCG over band half-widths {2,4,8,full} at N=16, run
-    seed-major so that each seed's bands share one raster's operators.
-    Returns {"axis": ..., "values": [...], "table": {method: [...]}}.
+    Every point runs on every seed (default `SWEEP_SEEDS`), seed-major,
+    so that a seed's points share its raster, samples and, across bands,
+    every band-free operator of its plan.  Returns {"axis": ...,
+    "values": [points], "table": {method: [median per point]}}.
     """
-    if axis == "N":
-        preset, points, make = "sweep-1d", SWEEP_N_VALUES, sweep_config
-    elif axis == "r":
-        preset, points, make = "rsweep-1d", RSWEEP_BANDS, rsweep_config
-    else:
-        raise ConfigError(f"sweep axis must be 'N' or 'r', got {axis!r}")
-    if seeds is None:
-        seeds = PRESET_SEEDS[preset]
+    if axis not in SWEEPS:
+        raise ConfigError(f"unknown sweep axis {axis!r} "
+                          f"(have {', '.join(SWEEPS)})")
+    make, points = SWEEPS[axis]
+    seeds = SWEEP_SEEDS if seeds is None else seeds
+    if not seeds:
+        raise ConfigError(f"sweep {axis!r} needs at least one seed")
     store = _Store()
-    # the band sweep runs seed-major, so that a seed's bands share its
-    # raster, samples and every band-free operator of its plan
-    order = ([(p, s) for s in seeds for p in points] if axis == "r"
-             else [(p, s) for p in points for s in seeds])
-    reports = {run: run_experiment(make(*run), None, store) for run in order}
-    values, table = [], {}
+    reports = {(p, s): run_experiment(make(p, s), None, store)
+               for s in seeds for p in points}
+    table = {}
     for point in points:
-        values.append(point if axis == "N" else make(point, seeds[0]).band)
         for m in reports[point, seeds[0]]:
             table.setdefault(m, []).append(float(np.median(
                 [reports[point, s][m].l2_rel_vs_scene for s in seeds])))
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("# gridfr sweep v1, l2 relative error vs true scene\n")
-            fh.write("method," + ",".join(f"{axis}={v}" for v in values) + "\n")
+            fh.write("method," + ",".join(f"{axis}={v}" for v in points) + "\n")
             for m, row in table.items():
                 fh.write(m + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
-    return {"axis": axis, "values": values, "table": table}
+    return {"axis": axis, "values": list(points), "table": table}

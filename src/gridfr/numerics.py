@@ -149,6 +149,14 @@ def capped_pinv(form, cap: int, rtol: float | None = None):
     kept values are those the truncated SVD keeps.  Otherwise, or when
     fewer than `cap` values clear the threshold, the truncated SVD capped
     at `cap` decides.  `info` holds the exact sigma_max and sigma_k.
+
+    The cut at `cap` follows from a rank bound, not from a spectral gap,
+    so it fixes the result only to about
+    eps sigma_max^2 / (sigma_cap^2 - sigma_{cap+1}^2).  On rasters with
+    exact symmetries the two values can agree to rounding: on a 5x5 grid
+    with jitter 0, sigma_9 and sigma_10 agree to 1.4e-8, and the result
+    can move at that level with the BLAS or its thread count.  Every
+    preset and sweep raster has sigma_cap / sigma_{cap+1} >= 1.01.
     """
     x = form()
     n = len(x)

@@ -466,7 +466,7 @@ def test_band_sweep_assembles_each_raster_once(monkeypatch):
             return fresh(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    seeds = harness.PRESET_SEEDS["rsweep-1d"]
+    seeds = harness.SWEEP_SEEDS
     table = run_sweep("r", seeds)["table"]
     assert collections.Counter(calls) == dict.fromkeys(
         ("jittered_grid", "analytic_coeffs", "build_psi",
@@ -475,9 +475,33 @@ def test_band_sweep_assembles_each_raster_once(monkeypatch):
                                rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("axis", sorted(harness.SWEEPS))
+def test_sweep_matches_runs_without_a_store(axis):
+    # seed-major through one store, each cell is the median of the runs
+    # made alone, point by point and seed by seed, to the last bit
+    make, points = harness.SWEEPS[axis]
+    seeds = (11, 12)
+    result = run_sweep(axis, seeds)
+    assert result["values"] == list(points)
+    alone = {(p, s): run_experiment(make(p, s)) for p in points
+             for s in seeds}
+    assert result["table"] == {
+        m: [float(np.median([alone[p, s][m].l2_rel_vs_scene
+                             for s in seeds])) for p in points]
+        for m in alone[points[0], seeds[0]]}
+
+
 def test_sweep_bad_axis():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="have N, r"):
         run_sweep("Q")
+
+
+@pytest.mark.parametrize("call", [lambda: run_sweep("N", []),
+                                  lambda: run_preset("asterisk", [])],
+                         ids=["run_sweep", "run_preset"])
+def test_empty_seed_list(call):
+    with pytest.raises(ConfigError, match="at least one seed"):
+        call()
 
 
 def test_preset_configs_well_formed():
